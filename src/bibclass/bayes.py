@@ -6,6 +6,11 @@ used as the class prior.  Scoring averages per-token log likelihoods so a
 document's score does not grow with its length, then maps the result to a
 probability distribution over the databases.  Database-specific trigger
 keywords can add a post-hoc boost to individual scores.
+
+The smoothed log probabilities are computed once, when a model is built or
+loaded: :class:`CategoryModel` keeps a per-database table of
+``log(term_probability)`` for every seen term plus one value for unseen
+terms, so scoring a document is a sum of table lookups.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterable
 
 from bibclass.errors import DataError
@@ -31,7 +37,10 @@ class CategoryModel:
 
     ``term_counts`` maps database -> term -> occurrence count; only
     positive counts are stored.  ``vocabulary_size`` is derived: the number
-    of distinct terms seen in any database.  Instances are treated as
+    of distinct terms seen in any database.  So are ``log_term_probs``
+    (database -> term -> log of :func:`term_probability`) and
+    ``log_unseen_probs`` (database -> that log for a term the database never
+    saw); both are empty for an empty vocabulary.  Instances are treated as
     immutable once built.
     """
 
@@ -41,10 +50,17 @@ class CategoryModel:
     doc_counts: dict[str, int]
     smoothing_alpha: float = 1.0
     vocabulary_size: int = field(init=False, default=0)
+    log_term_probs: dict[str, dict[str, float]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    log_unseen_probs: dict[str, float] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
-        if self.smoothing_alpha <= 0:
-            raise ValueError("smoothing_alpha must be positive")
+        alpha = self.smoothing_alpha
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError(f"smoothing_alpha must be finite and positive, got {alpha!r}")
         self.databases = tuple(self.databases)
         if len(set(self.databases)) != len(self.databases):
             raise ValueError("database names must be unique")
@@ -68,6 +84,20 @@ class CategoryModel:
         for db in self.databases:
             vocab.update(self.term_counts[db])
         self.vocabulary_size = len(vocab)
+        if not vocab:
+            return
+        for db in self.databases:
+            # The same expression term_probability evaluates, so the logs match it exactly.
+            denominator = self.total_tokens[db] + alpha * self.vocabulary_size
+            unseen = alpha / denominator
+            if unseen == 0.0:
+                raise ValueError(
+                    f"smoothing_alpha {alpha!r} underflows the probability of an unseen term"
+                )
+            self.log_unseen_probs[db] = math.log(unseen)
+            self.log_term_probs[db] = {
+                t: math.log((c + alpha) / denominator) for t, c in self.term_counts[db].items()
+            }
 
     @property
     def total_docs(self) -> int:
@@ -197,6 +227,8 @@ def score_text(model: CategoryModel, config: TextClassifierConfig, tokens: list[
     if total_docs == 0:
         raise ValueError("model has no training documents")
     n = len(tokens)
+    if n and model.vocabulary_size == 0:
+        raise ValueError("model has an empty vocabulary")
     log_likes = []
     for db in model.databases:
         prior = model.doc_counts[db] / total_docs
@@ -205,7 +237,8 @@ def score_text(model: CategoryModel, config: TextClassifierConfig, tokens: list[
             continue
         ll = math.log(prior)
         if n:
-            ll += sum(math.log(term_probability(model, t, db)) for t in tokens) / n
+            table, unseen = model.log_term_probs[db], model.log_unseen_probs[db]
+            ll += sum(map(table.get, tokens, repeat(unseen))) / n
         log_likes.append(ll)
     scores = _softmax(log_likes)
     return TextScore(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -132,7 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
             "boost": ("--boost", "score boost for trigger keywords (default: 0.25)"),
             "out": ("--out", "assignments output path (default: assignments.tsv)"),
             "grid_out": ("--grid-out", "sweep grid CSV path (default: grid.csv)"),
-            "workers": ("--workers", "worker process cap (default: all processors)"),
+            "workers": (
+                "--workers",
+                "worker process cap, at most the processor count (default: all processors)",
+            ),
         }
         for name in flags:
             flag, help_text = spec[name]
@@ -262,6 +266,8 @@ def _float_value(value: str, flag: str, low: float, high: float, low_open: bool 
         out = float(value)
     except (TypeError, ValueError):
         raise UsageError(f"invalid number for {flag}: '{value}'") from None
+    if not math.isfinite(out):
+        raise UsageError(f"{flag} must be a finite number, got '{value}'")
     if out < low or out > high or (low_open and out == low):
         bounds = f"({low}, {high}]" if low_open else f"[{low}, {high}]"
         raise UsageError(f"{flag} must be in {bounds}, got {out}")
@@ -438,7 +444,10 @@ def _cmd_build_model(merged: dict[str, str | None]) -> int:
     databases = tuple(sorted({db for r in corpus.records for db in r.gold_labels}))
     if not databases:
         raise DataError("no labeled records to train on")
-    model = build_model(corpus.records, databases, tokenizer_config, alpha=alpha)
+    try:
+        model = build_model(corpus.records, databases, tokenizer_config, alpha=alpha)
+    except ValueError as exc:
+        raise UsageError(f"--alpha {alpha!r} cannot be used: {exc}") from None
     save_model(model, model_path)
     print(f"records: {len(corpus.records)} ({corpus.skipped} skipped)")
     print(f"databases: {', '.join(databases)}")

@@ -9,6 +9,7 @@ parameter combination only re-applies thresholds.
 from __future__ import annotations
 
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -165,9 +166,11 @@ def text_score_table(
 
     The table depends only on the model and trigger configuration, not on
     the threshold parameters, so one table serves a whole sweep.  With
-    ``workers`` > 1 records are scored in parallel chunks; the merged
-    result is independent of the worker count.
+    ``workers`` > 1 records are scored in parallel chunks, one per worker,
+    and at most one worker per processor; the merged result is independent
+    of the worker count.
     """
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and len(records) >= _PARALLEL_THRESHOLD:
         chunk = (len(records) + workers - 1) // workers
         jobs = [
@@ -175,7 +178,7 @@ def text_score_table(
             for i in range(0, len(records), chunk)
         ]
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
                 chunks = list(pool.map(_score_text_chunk, jobs))
         except (OSError, PermissionError) as exc:
             log.warning("parallel scoring unavailable (%s); falling back to serial", exc)

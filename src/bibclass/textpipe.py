@@ -5,12 +5,16 @@ diacritics to ASCII, split on whitespace and punctuation, and expand
 hyphenated compounds into the joined form plus their parts.  What matters
 for classification is that model building and scoring see the exact same
 tokens, so the behaviour is pinned down by the test suite.
+
+Stop-phrase matching is compiled once per :class:`TokenizerConfig`: its
+constructor indexes the phrases by their first token, so filtering a
+record only tries the phrases that can start at each position.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from unicodedata import normalize
@@ -27,18 +31,34 @@ class TokenizerConfig:
     """Filtering rules applied to the raw token stream.
 
     Stop words and phrases are normalized to lowercase on construction;
-    phrases may be single words or space-separated sequences.
+    phrases may be single words or space-separated sequences.  The derived
+    ``phrase_index`` maps a phrase's first token to the phrases starting
+    with it, longest first and then lexicographic, so greedy matching
+    prefers the longest phrase; it takes no part in equality or hashing.
     """
 
     stop_words: frozenset[str] = frozenset()
     stop_phrases: frozenset[str] = frozenset()
     min_token_length: int = 1
+    phrase_index: dict[str, tuple[tuple[str, ...], ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.min_token_length < 1:
             raise ValueError("min_token_length must be >= 1")
         object.__setattr__(self, "stop_words", frozenset(w.lower() for w in self.stop_words))
         object.__setattr__(self, "stop_phrases", frozenset(p.lower() for p in self.stop_phrases))
+        phrases = sorted(
+            (tuple(p.split()) for p in self.stop_phrases if p.split()),
+            key=lambda p: (-len(p), p),
+        )
+        index: dict[str, list[tuple[str, ...]]] = {}
+        for phrase in phrases:
+            index.setdefault(phrase[0], []).append(phrase)
+        object.__setattr__(
+            self, "phrase_index", {first: tuple(group) for first, group in index.items()}
+        )
 
 
 def tokenize(text: str) -> list[str]:
@@ -66,39 +86,35 @@ def filter_tokens(tokens: list[str], config: TokenizerConfig) -> list[str]:
     token can make a phrase contiguous, and rescanning keeps the result
     stable under repeated application.
     """
-    phrases = _phrase_tuples(config.stop_phrases)
-    kept = _drop_phrases(list(tokens), phrases)
+    index = config.phrase_index
+    stop_words = config.stop_words
+    min_length = config.min_token_length
     kept = [
         t
-        for t in kept
-        if not t.isdigit() and t not in config.stop_words and len(t) >= config.min_token_length
+        for t in _drop_phrases(tokens, index)
+        if not t.isdigit() and t not in stop_words and len(t) >= min_length
     ]
-    return _drop_phrases(kept, phrases)
+    return _drop_phrases(kept, index)
 
 
-def _phrase_tuples(stop_phrases: frozenset[str]) -> list[tuple[str, ...]]:
-    phrases = [tuple(p.split()) for p in stop_phrases]
-    # Longest phrases first so overlapping phrases match greedily.
-    return sorted((p for p in phrases if p), key=lambda p: (-len(p), p))
-
-
-def _drop_phrases(tokens: list[str], phrases: list[tuple[str, ...]]) -> list[str]:
-    if not phrases:
-        return tokens
-    changed = True
-    while changed:
-        changed = False
+def _drop_phrases(
+    tokens: list[str], index: dict[str, tuple[tuple[str, ...], ...]]
+) -> list[str]:
+    # Rescan until a pass removes nothing; a removal can join a new phrase.
+    while not index.keys().isdisjoint(tokens):
         out: list[str] = []
         i = 0
         while i < len(tokens):
-            for phrase in phrases:
-                if tuple(tokens[i : i + len(phrase)]) == phrase:
-                    i += len(phrase)
-                    changed = True
+            for phrase in index.get(tokens[i], ()):
+                end = i + len(phrase)
+                if tuple(tokens[i:end]) == phrase:
+                    i = end
                     break
             else:
                 out.append(tokens[i])
                 i += 1
+        if len(out) == len(tokens):
+            return out
         tokens = out
     return tokens
 

@@ -3,10 +3,51 @@
 Nothing here imports from bibclass, and the computational routes differ on
 purpose: probabilities are multiplied directly instead of summing logs,
 citation counts are re-derived from the raw edge list, and precision and
-recall come from plain counting loops.
+recall come from plain counting loops, and stop phrases are matched by
+trying every phrase at every position rather than through an index.
 """
 
 from collections import Counter
+
+
+def drop_phrases_linear(tokens, stop_phrases):
+    """Remove stop phrases by trying every phrase at every position.
+
+    Phrases are tried longest first, then lexicographically, so the longest
+    phrase wins where several match; passes repeat until one removes nothing.
+    """
+    phrases = sorted(
+        (tuple(p.split()) for p in stop_phrases if p.split()), key=lambda p: (-len(p), p)
+    )
+    tokens = list(tokens)
+    if not phrases:
+        return tokens
+    changed = True
+    while changed:
+        changed = False
+        out = []
+        i = 0
+        while i < len(tokens):
+            for phrase in phrases:
+                if tuple(tokens[i : i + len(phrase)]) == phrase:
+                    i += len(phrase)
+                    changed = True
+                    break
+            else:
+                out.append(tokens[i])
+                i += 1
+        tokens = out
+    return tokens
+
+
+def filter_tokens_reference(tokens, stop_words, stop_phrases, min_token_length=1):
+    """Phrase pass, per-token filters (digits, stop words, length), phrase pass."""
+    kept = [
+        t
+        for t in drop_phrases_linear(tokens, stop_phrases)
+        if not t.isdigit() and t not in stop_words and len(t) >= min_token_length
+    ]
+    return drop_phrases_linear(kept, stop_phrases)
 
 
 def nb_stats(train, databases):

@@ -14,7 +14,9 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
+import bibclass
 import oracles
 import synth
 from bibclass.bayes import TextClassifierConfig, build_model, score_text
@@ -233,6 +235,10 @@ def test_criterion_5_normalization_and_duplication_invariance(bench_model):
 
 def _run_cli(args, cwd):
     env = {k: v for k, v in os.environ.items() if k != "BIBCLASS_CONFIG"}
+    # The child runs in ``cwd``, where a relative PYTHONPATH entry would not
+    # resolve, so it imports the package from the same absolute location.
+    package_parent = str(Path(bibclass.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_parent, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "bibclass.cli", *args],
         cwd=cwd,

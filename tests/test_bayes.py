@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import synth
@@ -105,6 +107,84 @@ class TestTermProbability:
     def test_unknown_database_rejected(self):
         with pytest.raises(ValueError):
             term_probability(toy_model(), "galaxy", "nope")
+
+
+class TestLogTables:
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 2.5, 1e-3])
+    def test_tables_equal_log_of_term_probability(self, alpha):
+        model = toy_model(alpha)
+        for db in model.databases:
+            for term in ("galaxy", "star", "quasar", "quantum", "lattice", "neutrino"):
+                got = model.log_term_probs[db].get(term, model.log_unseen_probs[db])
+                assert got == math.log(term_probability(model, term, db))
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_non_finite_or_non_positive_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="smoothing_alpha"):
+            toy_model(alpha)
+
+    def test_alpha_that_underflows_unseen_probability_rejected(self):
+        # alpha * vocabulary_size overflows, so every probability would be 0.
+        with pytest.raises(ValueError, match="underflows"):
+            toy_model(1e308)
+
+
+def per_token_scores(model, tokens):
+    """score_text's distribution via one term_probability call per token and database."""
+    n = len(tokens)
+    log_likes = []
+    for db in model.databases:
+        prior = model.doc_counts[db] / model.total_docs
+        if prior == 0.0:
+            log_likes.append(float("-inf"))
+            continue
+        ll = math.log(prior)
+        if n:
+            ll += sum(math.log(term_probability(model, t, db)) for t in tokens) / n
+        log_likes.append(ll)
+    top = max(log_likes)
+    exps = [math.exp(v - top) for v in log_likes]
+    total = sum(exps)
+    return {db: e / total for db, e in zip(model.databases, exps)}
+
+
+_TERMS = ["galaxy", "star", "quasar", "quantum", "lattice", "phonon"]
+
+
+@st.composite
+def random_models(draw):
+    databases = tuple(f"db{i}" for i in range(draw(st.integers(1, 4))))
+    term_counts = {
+        db: draw(st.dictionaries(st.sampled_from(_TERMS), st.integers(0, 9), max_size=5))
+        for db in databases
+    }
+    # Zero-document databases are allowed as long as one database has documents.
+    doc_counts = {db: draw(st.integers(0, 5)) for db in databases}
+    doc_counts[databases[-1]] = max(1, doc_counts[databases[-1]])
+    return CategoryModel(
+        databases=databases,
+        term_counts=term_counts,
+        total_tokens={db: sum(term_counts[db].values()) for db in databases},
+        doc_counts=doc_counts,
+        smoothing_alpha=draw(
+            st.one_of(st.sampled_from([1.0, 0.5, 2.0]), st.floats(1e-3, 50.0))
+        ),
+    )
+
+
+class TestScoreTextProperties:
+    @given(
+        model=random_models(),
+        tokens=st.lists(st.sampled_from(_TERMS + ["unseen", "neutrino"]), max_size=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_token_term_probability_exactly(self, model, tokens):
+        if tokens and model.vocabulary_size == 0:
+            with pytest.raises(ValueError, match="empty vocabulary"):
+                score_text(model, TextClassifierConfig(), tokens)
+            return
+        got = score_text(model, TextClassifierConfig(), tokens).per_db_score
+        assert got == per_token_scores(model, tokens)
 
 
 class TestScoreText:

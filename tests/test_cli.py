@@ -70,6 +70,23 @@ class TestBuildModel:
         assert rc == 1
         assert "requires --records" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "abc", "1e308"])
+    def test_bad_alpha_is_usage_error(self, workspace, capsys, value):
+        rc = cli.run(
+            [
+                "build-model",
+                "--records",
+                str(workspace / "train.jsonl"),
+                "--model",
+                str(workspace / "m.txt"),
+                "--alpha",
+                value,
+            ]
+        )
+        assert rc == 1
+        assert "--alpha" in capsys.readouterr().err
+        assert not (workspace / "m.txt").exists()
+
     def test_unlabeled_corpus_is_data_error(self, workspace, capsys):
         (workspace / "empty.jsonl").write_text(
             json.dumps({"id": "x", "title": "words here", "year": 1, "labels": []}) + "\n",
@@ -195,6 +212,12 @@ class TestClassify:
         [
             ("--st", "1.5"),
             ("--st", "abc"),
+            ("--st", "nan"),
+            ("--st", "inf"),
+            ("--rc", "nan"),
+            ("--rc", "-inf"),
+            ("--boost", "nan"),
+            ("--boost", "inf"),
             ("--nt", "-1"),
             ("--nc", "0"),
             ("--rc", "0"),
@@ -387,6 +410,18 @@ class TestConfigFile:
         )
         assert rc == 1
         assert "volume" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["st = nan", "rc = inf", "boost = -inf", "alpha = nan"])
+    def test_non_finite_config_value_is_usage_error(self, workspace, monkeypatch, capsys, line):
+        model = build(workspace)
+        config = workspace / "config.txt"
+        config.write_text(line + "\n", encoding="utf-8")
+        monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(config))
+        command = "build-model" if line.startswith("alpha") else "classify"
+        args = ["--records", str(workspace / "train.jsonl"), "--model", str(model)]
+        rc = cli.run([command, *args, *([] if command == "build-model" else ["--mode", "text"])])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
 
     def test_malformed_config_line_is_usage_error(self, workspace, monkeypatch):
         config = workspace / "config.txt"

@@ -217,6 +217,16 @@ class TestModelRoundTrip:
         with pytest.raises(DataError):
             load_model(path)
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0.0", "-1.0", "1e308"])
+    def test_unusable_alpha_rejected(self, tmp_path, alpha):
+        path = tmp_path / "model.txt"
+        path.write_text(
+            f"bibclass-model v1\nalpha\t{alpha}\ndb\tastro\t1\t2\nt\tgalaxy\t1\nt\tstar\t1\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DataError, match="smoothing_alpha"):
+            load_model(path)
+
     def test_missing_alpha_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("bibclass-model v1\ndb\tastro\t1\t0\n", encoding="utf-8")

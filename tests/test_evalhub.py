@@ -1,8 +1,11 @@
+import contextlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
 import synth
+from bibclass import evalhub
 from bibclass.bayes import TextClassifierConfig, build_model, classify_text
 from bibclass.citegraph import CitationClassifierConfig, CitationGraph, classify_citations
 from bibclass.corpus import BibRecord
@@ -16,6 +19,7 @@ from bibclass.evalhub import (
     emit_grid_csv,
     precision_recall,
     sweep,
+    text_score_table,
 )
 from bibclass.textpipe import TokenizerConfig
 
@@ -161,6 +165,34 @@ class TestClassifyCorpus:
             workers=3,
         )
         assert parallel == serial
+
+
+class TestWorkerCap:
+    @pytest.mark.parametrize(
+        "cpus,workers,n_records,expected",
+        [
+            (2, 10**6, 600, 2),  # capped at the processor count
+            (None, 8, 600, None),  # unknown processor count: serial, no pool
+            (8, 3, 600, 3),  # below the cap the request stands
+            (600, 512, 513, 257),  # capped at the number of chunks (513 / 2-record chunks)
+            (8, 8, 100, None),  # small corpora stay serial
+        ],
+    )
+    def test_pool_size_is_bounded(self, setup, monkeypatch, cpus, workers, n_records, expected):
+        _, model, _, text_config, _ = setup
+        requested = []
+
+        def in_process_pool(max_workers):
+            # Records the pool size and runs the jobs here; forks nothing.
+            requested.append(max_workers)
+            return contextlib.nullcontext(SimpleNamespace(map=map))
+
+        monkeypatch.setattr(evalhub, "ProcessPoolExecutor", in_process_pool)
+        monkeypatch.setattr(evalhub.os, "cpu_count", lambda: cpus)
+        records = [record(f"r{i}", "galaxy quasar star lattice phonon") for i in range(n_records)]
+        got = text_score_table(records, model, text_config, PLAIN, workers=workers)
+        assert requested == ([] if expected is None else [expected])
+        assert got == text_score_table(records, model, text_config, PLAIN, workers=1)
 
 
 class TestPrecisionRecall:

@@ -1,7 +1,10 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from bibclass.errors import DataError
 from bibclass.textpipe import (
     TokenizerConfig,
@@ -75,6 +78,39 @@ class TestFilterTokens:
         config = TokenizerConfig(stop_words=frozenset({"THE"}))
         assert filter_tokens(["the"], config) == []
 
+    def test_overlapping_phrases_match_longest_first(self):
+        config = TokenizerConfig(
+            stop_phrases=frozenset({"in brief", "news in brief", "x y", "x y z", "x w"})
+        )
+        assert config.phrase_index == {
+            "in": (("in", "brief"),),
+            "news": (("news", "in", "brief"),),
+            "x": (("x", "y", "z"), ("x", "w"), ("x", "y")),
+        }
+        assert filter_tokens(["news", "in", "brief", "in", "brief", "q"], config) == ["q"]
+        assert filter_tokens(["x", "y", "z", "q"], config) == ["q"]
+
+    def test_deep_cascade_is_removed_completely(self):
+        # Each removal exposes the next "x y"; the two filter passes alone
+        # would stop after two levels.
+        config = TokenizerConfig(stop_phrases=frozenset({"x y"}))
+        assert filter_tokens(["x"] * 4 + ["y"] * 4 + ["q"], config) == ["q"]
+
+    def test_phrase_index_stays_out_of_equality_and_repr(self):
+        a = TokenizerConfig(stop_phrases=frozenset({"Book Review"}))
+        b = TokenizerConfig(stop_phrases=frozenset({"book review"}))
+        assert a == b and hash(a) == hash(b)
+        assert "phrase_index" not in repr(a)
+
+    def test_pickle_round_trip_filters_identically(self):
+        # Worker processes receive the config pickled.
+        config = default_tokenizer_config()
+        clone = pickle.loads(pickle.dumps(config))
+        assert clone == config
+        assert clone.phrase_index == config.phrase_index
+        tokens = tokenize("News in brief: a book the review of 1997 X-ray letters to the editor")
+        assert filter_tokens(tokens, clone) == filter_tokens(tokens, config)
+
 
 @st.composite
 def token_lists(draw):
@@ -94,7 +130,56 @@ def configs(draw):
     )
 
 
+_BUNDLED = default_tokenizer_config()
+# Bundled stop phrases plus crafted ones where one phrase is a prefix of
+# another with the same first token, so only longest-first matching works.
+_PHRASES = sorted(_BUNDLED.stop_phrases | {"alpha beta", "alpha beta gamma", "beta alpha"})
+_PHRASE_RUNS = [tuple(p.split()) for p in _PHRASES]
+_LONG_RUNS = [run for run in _PHRASE_RUNS if len(run) > 1]
+_WORDS = sorted(_BUNDLED.stop_words) + ["galaxy", "quasar", "alpha", "beta", "gamma", "42", "1997"]
+
+
+def _nest(inner, outer, cut):
+    k = 1 + cut % (len(outer) - 1)
+    return outer[:k] + inner + outer[k:]
+
+
+@st.composite
+def stop_list_streams(draw):
+    """Token streams built from stop phrases, words and phrases nested in phrases.
+
+    A phrase split around another phrase ("book book review review")
+    becomes contiguous only after the inner one is removed, so nesting
+    depth sets how many rescans a cascade needs.
+    """
+    pieces = st.recursive(
+        st.one_of(st.sampled_from(_PHRASE_RUNS), st.sampled_from(_WORDS).map(lambda w: (w,))),
+        lambda inner: st.builds(_nest, inner, st.sampled_from(_LONG_RUNS), st.integers(0, 8)),
+        max_leaves=5,
+    )
+    return [token for piece in draw(st.lists(pieces, max_size=8)) for token in piece]
+
+
+@st.composite
+def stop_list_configs(draw):
+    if draw(st.booleans()):
+        return _BUNDLED
+    return TokenizerConfig(
+        stop_words=frozenset(draw(st.sets(st.sampled_from(sorted(_BUNDLED.stop_words)), max_size=8))),
+        stop_phrases=frozenset(draw(st.sets(st.sampled_from(_PHRASES), max_size=12))),
+        min_token_length=draw(st.integers(min_value=1, max_value=3)),
+    )
+
+
 class TestProperties:
+    @given(tokens=stop_list_streams(), config=stop_list_configs())
+    @settings(max_examples=400, deadline=None)
+    def test_filtering_matches_linear_scan_reference(self, tokens, config):
+        want = oracles.filter_tokens_reference(
+            tokens, config.stop_words, config.stop_phrases, config.min_token_length
+        )
+        assert filter_tokens(tokens, config) == want
+
     @given(text=st.text(max_size=200))
     @settings(max_examples=200, deadline=None)
     def test_tokens_are_lowercase_ascii_words(self, text):
