@@ -30,6 +30,7 @@ from bibclass.corpus import (
     load_model,
     load_records,
     save_model,
+    write_text_atomic,
 )
 from bibclass.errors import DataError, UsageError
 from bibclass.evalhub import MODES, SweepGrids
@@ -462,7 +463,8 @@ def emit_assignments(
     """Write one ``id<TAB>dbs<TAB>via_text<TAB>via_citation`` line per record.
 
     Database lists are comma-joined in configured order so output is
-    byte-identical across runs.
+    byte-identical across runs.  The file is replaced whole, so a failed
+    write leaves any earlier file as it was.
     """
     lines = []
     for a in assignments:
@@ -472,11 +474,7 @@ def emit_assignments(
             ",".join(db for db in databases if db in a.via_citation),
         )
         lines.append(f"{a.record_id}\t" + "\t".join(cols) + "\n")
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("".join(lines))
-    except OSError as exc:
-        raise DataError(f"cannot write assignments file {path}: {exc}") from exc
+    write_text_atomic(path, "".join(lines), "assignments file")
 
 
 def _cmd_classify(merged: dict[str, str | None]) -> int:

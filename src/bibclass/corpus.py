@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -225,6 +226,24 @@ def load_citations(
         unknown_citers=unknown,
     )
     return graph, stats
+
+
+def write_text_atomic(path: str | Path, text: str, what: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``.
+
+    A failed write removes the temporary file and leaves ``path`` as it
+    was; the failure is a :class:`DataError` naming ``what`` was written.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise DataError(f"cannot write {what} {path}: {exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_model(model: CategoryModel, path: str | Path) -> None:

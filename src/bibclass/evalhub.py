@@ -2,8 +2,11 @@
 
 The combined assignment for a record is the union of what the text and
 citation classifiers produce; either one can rescue records the other
-cannot classify.  Sweeps precompute per-record score tables once, so each
-parameter combination only re-applies thresholds.
+cannot classify.  Sweeps precompute per-record score tables once, then
+turn every threshold pair into a bitmask over the records (one Python int,
+bit ``i`` for ``records[i]``): O(pairs * n) to build the masks, after which
+each grid point costs a few big-int operations instead of a pass over the
+corpus.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -24,7 +28,7 @@ from bibclass.bayes import (
     score_text,
 )
 from bibclass.citegraph import CitationClassifierConfig, CitationGraph, classify_citations
-from bibclass.corpus import BibRecord
+from bibclass.corpus import BibRecord, write_text_atomic
 from bibclass.errors import DataError, UsageError
 from bibclass.textpipe import TokenizerConfig, filter_tokens, tokenize
 
@@ -135,6 +139,11 @@ def precision_recall(
             fp += 1
         elif positive:
             fn += 1
+    return _report(db, tp, fp, fn, params)
+
+
+def _report(db: str, tp: int, fp: int, fn: int, params: ParamPoint | None) -> EvalReport:
+    """Report for raw counts; a zero denominator reads 1 (nothing claimed, nothing missed)."""
     precision = tp / (tp + fp) if tp + fp else 1.0
     recall = tp / (tp + fn) if tp + fn else 1.0
     return EvalReport(db=db, tp=tp, fp=fp, fn=fn, precision=precision, recall=recall, params=params)
@@ -232,6 +241,45 @@ def _assign_from_tables(
     return Assignment(record_id=record_id, via_text=via_text, via_citation=via_citation)
 
 
+def _score_tables(
+    records: Sequence[BibRecord],
+    mode: str,
+    model: CategoryModel | None,
+    text_config: TextClassifierConfig | None,
+    tokenizer_config: TokenizerConfig | None,
+    graph: CitationGraph | None,
+    cite_config: CitationClassifierConfig | None,
+    workers: int,
+) -> tuple[tuple[str, ...], dict | None, dict | None]:
+    """Check ``mode`` and its inputs, then build the score tables it uses.
+
+    Returns ``(databases, text_table, cite_table)``; a table the mode does
+    not use is None.  Combined mode needs the model and the graph to name
+    the same databases, since each record is scored against both.
+    """
+    if mode not in MODES:
+        raise UsageError(f"unknown mode '{mode}'")
+    uses_text = mode in ("text", "combined")
+    uses_citations = mode in ("citation", "combined")
+    if uses_text and (model is None or text_config is None or tokenizer_config is None):
+        raise UsageError(f"mode '{mode}' needs a model, text config and tokenizer config")
+    if uses_citations and (graph is None or cite_config is None):
+        raise UsageError(f"mode '{mode}' needs a citation graph and config")
+    if uses_text and uses_citations and set(model.databases) != set(graph.databases):
+        raise UsageError(
+            f"model databases {list(model.databases)} differ from "
+            f"citation graph databases {list(graph.databases)}"
+        )
+    text_table = (
+        text_score_table(records, model, text_config, tokenizer_config, workers)
+        if uses_text
+        else None
+    )
+    cite_table = citation_score_table(records, graph) if uses_citations else None
+    databases = model.databases if uses_text else graph.databases
+    return databases, text_table, cite_table
+
+
 def classify_corpus(
     records: Sequence[BibRecord],
     *,
@@ -244,20 +292,9 @@ def classify_corpus(
     workers: int = 1,
 ) -> list[Assignment]:
     """Assign every record in input order, using the classifiers ``mode`` names."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode '{mode}'")
-    text_table = cite_table = None
-    databases: tuple[str, ...] = ()
-    if mode in ("text", "combined"):
-        if model is None or text_config is None or tokenizer_config is None:
-            raise ValueError(f"mode '{mode}' needs a model, text config and tokenizer config")
-        text_table = text_score_table(records, model, text_config, tokenizer_config, workers)
-        databases = model.databases
-    if mode in ("citation", "combined"):
-        if graph is None or cite_config is None:
-            raise ValueError(f"mode '{mode}' needs a citation graph and config")
-        cite_table = citation_score_table(records, graph)
-        databases = databases or graph.databases
+    databases, text_table, cite_table = _score_tables(
+        records, mode, model, text_config, tokenizer_config, graph, cite_config, workers
+    )
     point = ParamPoint(
         min_words=text_config.min_words if text_config else 0,
         score_threshold=text_config.score_threshold if text_config else 0.0,
@@ -275,6 +312,33 @@ def classify_corpus(
         )
         for r in records
     ]
+
+
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _mask(flags: Iterable[bool]) -> int:
+    """One int with bit ``i`` set iff ``flags[i]``, built in linear time."""
+    return int(b"0" + bytes(flags)[::-1].translate(_BIT_DIGITS), 2)
+
+
+def _pair_masks(
+    rows: list[tuple[int, dict[str, float]]] | None,
+    db: str,
+    gates: list[int],
+    thresholds: list[float],
+) -> list[int]:
+    """One mask per (gate, threshold) pair, gate-major.
+
+    Bit ``i`` is set iff ``rows[i]`` has a count of at least the gate and a
+    ``db`` value of at least the threshold.  With no rows (the mode does not
+    use this classifier) every mask is empty.
+    """
+    if rows is None:
+        return [0] * (len(gates) * len(thresholds))
+    by_gate = [_mask([count >= gate for count, _ in rows]) for gate in gates]
+    by_threshold = [_mask([values[db] >= t for _, values in rows]) for t in thresholds]
+    return [g & t for g in by_gate for t in by_threshold]
 
 
 def sweep(
@@ -295,22 +359,19 @@ def sweep(
     Grids irrelevant to the mode are pinned to the base config values, so
     a text sweep emits one row per (min_words, score_threshold) pair.  Rows
     come out in ascending lexicographic order of the parameter tuple.
+
+    Each (min_words, score_threshold) pair becomes a mask of the records the
+    text classifier assigns to ``db`` there, each (min_citations,
+    ratio_threshold) pair one for the citation classifier, and an unused
+    classifier's masks are empty.  A grid point is then ``u = T | C``, with
+    TP the bits ``u`` shares with the gold mask.  Building the masks costs
+    one comparison pass over the records per grid value and one AND per
+    pair, O(pairs * n) at most; the points then cost O(points) big-int
+    operations.
     """
-    if mode not in MODES:
-        raise UsageError(f"unknown mode '{mode}'")
-    gold = {r.id: set(r.gold_labels) for r in records}
-    text_table = cite_table = None
-    databases: tuple[str, ...] = ()
-    if mode in ("text", "combined"):
-        if model is None or text_config is None or tokenizer_config is None:
-            raise UsageError(f"mode '{mode}' needs a model, text config and tokenizer config")
-        text_table = text_score_table(records, model, text_config, tokenizer_config, workers)
-        databases = model.databases
-    if mode in ("citation", "combined"):
-        if graph is None or cite_config is None:
-            raise UsageError(f"mode '{mode}' needs a citation graph and config")
-        cite_table = citation_score_table(records, graph)
-        databases = databases or graph.databases
+    databases, text_table, cite_table = _score_tables(
+        records, mode, model, text_config, tokenizer_config, graph, cite_config, workers
+    )
     if db not in databases:
         raise DataError(f"database '{db}' is not in the configured set {list(databases)}")
 
@@ -325,24 +386,21 @@ def sweep(
         nts = [text_config.min_words if text_config else 0]
         sts = [text_config.score_threshold if text_config else 0.0]
 
+    gold_mask = _mask([db in r.gold_labels for r in records])
+    positives = gold_mask.bit_count()
+    text_rows = [text_table[r.id] for r in records] if text_table is not None else None
+    cite_rows = [cite_table[r.id] for r in records] if cite_table is not None else None
+    text_pairs = zip(product(nts, sts), _pair_masks(text_rows, db, nts, sts))
+    cite_pairs = list(zip(product(ncs, rcs), _pair_masks(cite_rows, db, ncs, rcs)))
+
     reports = []
-    for nt in nts:
-        for st in sts:
-            for nc in ncs:
-                for rc in rcs:
-                    point = ParamPoint(nt, st, nc, rc)
-                    assignments = (
-                        _assign_from_tables(
-                            r.id,
-                            mode,
-                            point,
-                            databases,
-                            text_table[r.id] if text_table else None,
-                            cite_table[r.id] if cite_table else None,
-                        )
-                        for r in records
-                    )
-                    reports.append(precision_recall(assignments, gold, db, params=point))
+    for (nt, st), text_mask in text_pairs:
+        for (nc, rc), cite_mask in cite_pairs:
+            union = text_mask | cite_mask
+            tp = (union & gold_mask).bit_count()
+            reports.append(
+                _report(db, tp, union.bit_count() - tp, positives - tp, ParamPoint(nt, st, nc, rc))
+            )
     return SweepGrid(mode=mode, db=db, reports=tuple(reports))
 
 
@@ -350,7 +408,8 @@ def emit_grid_csv(grid: SweepGrid, path: str | Path) -> None:
     """Write the sweep grid as deterministic plot-ready CSV.
 
     Real-valued columns are fixed to six decimal places so reruns on
-    identical inputs are byte-identical.
+    identical inputs are byte-identical.  The file is replaced whole, so a
+    failed write leaves any earlier file as it was.
     """
     if not grid.reports:
         raise UsageError("cannot emit an empty sweep grid")
@@ -364,8 +423,4 @@ def emit_grid_csv(grid: SweepGrid, path: str | Path) -> None:
             f"{p.min_citations},{p.ratio_threshold:.6f},"
             f"{rep.tp},{rep.fp},{rep.fn},{rep.precision:.6f},{rep.recall:.6f}"
         )
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise DataError(f"cannot write grid CSV {path}: {exc}") from exc
+    write_text_atomic(path, "\n".join(lines) + "\n", "grid CSV")

@@ -5,9 +5,12 @@ purpose: probabilities are multiplied directly instead of summing logs,
 citation counts are re-derived from the raw edge list, and precision and
 recall come from plain counting loops, and stop phrases are matched by
 trying every phrase at every position rather than through an index.
+Sweeps assign every record afresh at every grid point instead of
+combining per-threshold bitmasks.
 """
 
 from collections import Counter
+from itertools import product
 
 
 def drop_phrases_linear(tokens, stop_phrases):
@@ -137,3 +140,38 @@ def precision_recall_counts(assigned, gold, db):
     precision = tp / (tp + fp) if tp + fp else 1.0
     recall = tp / (tp + fn) if tp + fn else 1.0
     return tp, fp, fn, precision, recall
+
+
+def sweep_reference(records, mode, db, databases, text_table, cite_table, grids, base):
+    """Sweep one database by assigning every record at every grid point.
+
+    ``text_table`` and ``cite_table`` map record id to ``(count, {db: value})``
+    (token count and text score; citer count and citation ratio).
+    ``grids`` holds the four value lists (N_t, S_t, N_c, R_c); a mode pins
+    the two it does not use to ``base``, the same four parameters of the
+    base configs.  Returns ``(tp, fp, fn, precision, recall, point)`` per
+    point in ascending point order.
+    """
+    nts, sts, ncs, rcs = (sorted(set(values)) for values in grids)
+    if mode == "text":
+        ncs, rcs = [base[2]], [base[3]]
+    elif mode == "citation":
+        nts, sts = [base[0]], [base[1]]
+    gold = {i: set(r.gold_labels) for i, r in enumerate(records)}
+    rows = []
+    for point in product(nts, sts, ncs, rcs):
+        nt, st, nc, rc = point
+        assigned = {}
+        for i, r in enumerate(records):
+            dbs = set()
+            if mode in ("text", "combined"):
+                n, scores = text_table[r.id]
+                if n >= nt:
+                    dbs |= {d for d in databases if scores[d] >= st}
+            if mode in ("citation", "combined"):
+                total, ratios = cite_table[r.id]
+                if total >= nc:
+                    dbs |= {d for d in databases if ratios[d] >= rc}
+            assigned[i] = dbs
+        rows.append((*precision_recall_counts(assigned, gold, db), point))
+    return rows

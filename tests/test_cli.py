@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -499,6 +500,21 @@ class TestEmitAssignments:
     def test_unwritable_path_is_data_error(self, tmp_path):
         with pytest.raises(DataError):
             cli.emit_assignments([], ("astro",), tmp_path / "missing" / "a.tsv")
+
+    def test_failed_replace_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.tsv"
+        path.write_text("sentinel\n", encoding="utf-8")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(DataError, match="disk full"):
+            cli.emit_assignments(
+                [Assignment("id", frozenset({"astro"}), frozenset())], ("astro",), path
+            )
+        assert path.read_text(encoding="utf-8") == "sentinel\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.tsv"]
 
 
 class TestHelp:

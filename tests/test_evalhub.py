@@ -1,9 +1,14 @@
 import contextlib
+import os
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import synth
 from bibclass import evalhub
 from bibclass.bayes import TextClassifierConfig, build_model, classify_text
@@ -11,9 +16,11 @@ from bibclass.citegraph import CitationClassifierConfig, CitationGraph, classify
 from bibclass.corpus import BibRecord
 from bibclass.errors import DataError, UsageError
 from bibclass.evalhub import (
+    MODES,
     Assignment,
     ParamPoint,
     SweepGrids,
+    citation_score_table,
     classify_combined,
     classify_corpus,
     emit_grid_csv,
@@ -133,13 +140,46 @@ class TestClassifyCorpus:
 
     def test_unknown_mode_rejected(self, setup):
         records, model, graph, text_config, cite_config = setup
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             classify_corpus(records, mode="psychic")
 
     def test_missing_inputs_rejected(self, setup):
         records, model, graph, text_config, cite_config = setup
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             classify_corpus(records, mode="text")
+
+    @pytest.mark.parametrize("graph_dbs", [("physics",), ("astronomy", "physics", "optics")])
+    def test_model_and_graph_must_name_the_same_databases(self, graph_dbs):
+        model = build_model(
+            [
+                record("t1", "galaxy star quasar", ["astronomy"]),
+                record("t2", "quantum lattice phonon", ["physics"]),
+            ],
+            ("astronomy", "physics"),
+            PLAIN,
+        )
+        graph = CitationGraph(
+            citers={"r1": frozenset({"c1"})},
+            memberships={"c1": frozenset({"physics"})},
+            databases=graph_dbs,
+        )
+        records = [record("r1", "galaxy star quasar galaxy", ["astronomy"])]
+        inputs = dict(
+            model=model,
+            text_config=TextClassifierConfig(min_words=1),
+            tokenizer_config=PLAIN,
+            graph=graph,
+            cite_config=CitationClassifierConfig(min_citations=1),
+        )
+        names_both = re.escape(
+            f"model databases ['astronomy', 'physics'] differ from "
+            f"citation graph databases {list(graph_dbs)}"
+        )
+        with pytest.raises(UsageError, match=names_both):
+            classify_corpus(records, mode="combined", **inputs)
+        grids = SweepGrids((1,), (0.5,), (1,), (0.5,))
+        with pytest.raises(UsageError, match=names_both):
+            sweep(records, grids, mode="combined", db="physics", **inputs)
 
     def test_parallel_matches_serial(self, setup, monkeypatch):
         records, model, graph, text_config, cite_config = setup
@@ -397,6 +437,97 @@ class TestSweep:
                     assert neighbor.recall <= report.recall
 
 
+_DBS = ("astro", "phys")
+_VOCAB = ["galaxy", "quasar", "star", "nebula", "quantum", "lattice", "phonon", "boson"]
+_CITERS = [f"c{i}" for i in range(6)]
+_MODEL = build_model(
+    [
+        record("t1", "galaxy star quasar galaxy nebula", ["astro"]),
+        record("t2", "quantum lattice phonon boson", ["phys"]),
+        record("t3", "galaxy quantum star lattice", ["astro", "phys"]),
+    ],
+    _DBS,
+    PLAIN,
+)
+_TRIGGERED = TextClassifierConfig(triggers={"astro": frozenset({"nebula"})})
+
+
+@st.composite
+def sweep_corpora(draw):
+    """Records of 0-8 words with random labels, each cited by 0-6 of a few citers."""
+    records = [
+        record(
+            f"r{i}",
+            " ".join(draw(st.lists(st.sampled_from(_VOCAB), max_size=8))),
+            draw(st.sets(st.sampled_from(_DBS))),
+        )
+        for i in range(draw(st.integers(0, 12)))
+    ]
+    graph = CitationGraph(
+        citers={r.id: frozenset(draw(st.sets(st.sampled_from(_CITERS)))) for r in records},
+        memberships={c: frozenset(draw(st.sets(st.sampled_from(_DBS)))) for c in _CITERS},
+        databases=_DBS,
+    )
+    return records, graph
+
+
+class TestSweepProperties:
+    @given(case=sweep_corpora(), mode=st.sampled_from(MODES), db=st.sampled_from(_DBS), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_point_reference(self, case, mode, db, data):
+        records, graph = case
+        text_table = text_score_table(records, _MODEL, _TRIGGERED, PLAIN)
+        cite_table = citation_score_table(records, graph)
+        counts = [n for n, _ in text_table.values()]
+        scores = [s[d] for _, s in text_table.values() for d in _DBS]
+        totals = [n for n, _ in cite_table.values()]
+        ratios = [r[d] for _, r in cite_table.values() for d in _DBS]
+
+        def values(seen, extra):
+            # Grid values hit recorded counts, scores and ratios exactly, repeat,
+            # and go past every recorded value (9 words, 7 citers, 1 + max score).
+            return st.lists(st.sampled_from(sorted(set(seen) | set(extra))), min_size=1, max_size=5)
+
+        grids = SweepGrids(
+            data.draw(values(counts, [0, 3, 9])),
+            data.draw(values(scores, [0.0, 0.5, 1.0, 1.0 + max(scores, default=0.0)])),
+            data.draw(values(totals, [1, 2, 7])),
+            data.draw(values(ratios, [0.25, 0.5, 1.0, 2.0])),
+        )
+        text_config = TextClassifierConfig(
+            min_words=data.draw(st.sampled_from(sorted(set(counts) | {0, 9}))),
+            score_threshold=data.draw(st.sampled_from(sorted({s for s in scores if s <= 1} | {0.5}))),
+            triggers=_TRIGGERED.triggers,
+        )
+        cite_config = CitationClassifierConfig(
+            min_citations=data.draw(st.sampled_from(sorted({n for n in totals if n} | {1, 7}))),
+            ratio_threshold=data.draw(st.sampled_from(sorted({r for r in ratios if r} | {1.0}))),
+        )
+        grid = sweep(
+            records,
+            grids,
+            mode=mode,
+            db=db,
+            model=_MODEL,
+            text_config=text_config,
+            tokenizer_config=PLAIN,
+            graph=graph,
+            cite_config=cite_config,
+        )
+        base = (
+            text_config.min_words,
+            text_config.score_threshold,
+            cite_config.min_citations,
+            cite_config.ratio_threshold,
+        )
+        lists = (grids.min_words, grids.score_thresholds, grids.min_citations, grids.ratio_thresholds)
+        want = oracles.sweep_reference(
+            records, mode, db, _DBS, text_table, cite_table, lists, base
+        )
+        got = [(r.tp, r.fp, r.fn, r.precision, r.recall, r.params) for r in grid.reports]
+        assert got == want
+
+
 class TestEmitGridCsv:
     def test_header_and_fixed_precision_rows(self, setup, tmp_path):
         records, model, graph, text_config, cite_config = setup
@@ -450,6 +581,31 @@ class TestEmitGridCsv:
 
         with pytest.raises(UsageError):
             emit_grid_csv(SweepGrid(mode="text", db="astro", reports=()), "/tmp/nope.csv")
+
+    def test_failed_replace_keeps_the_old_file(self, setup, tmp_path, monkeypatch):
+        records, model, graph, text_config, cite_config = setup
+        grid = sweep(
+            records,
+            SweepGrids((4,), (0.6,), (2,), (0.5,)),
+            mode="combined",
+            db="astro",
+            model=model,
+            text_config=text_config,
+            tokenizer_config=PLAIN,
+            graph=graph,
+            cite_config=cite_config,
+        )
+        path = tmp_path / "grid.csv"
+        path.write_text("sentinel\n", encoding="utf-8")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(DataError, match="disk full"):
+            emit_grid_csv(grid, path)
+        assert path.read_text(encoding="utf-8") == "sentinel\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
 
     def test_unwritable_path_is_a_data_error(self, setup, tmp_path):
         records, model, graph, text_config, cite_config = setup
