@@ -1,103 +1,48 @@
 """Classify bibliographic records into subject databases.
 
-Two classifiers share a combiner: a Multinomial Naive Bayes text
-classifier over per-database word frequencies, and a citation classifier
-over the fraction of a record's citing papers already in each database.
+Two classifiers share a combiner: a Multinomial Naive Bayes text classifier
+over per-database word frequencies, and a citation classifier over the
+fraction of a record's citing papers already in each database.
+``classify_corpus``, ``evaluate`` and ``sweep`` all threshold the same
+per-record score tables.
 """
 
-from bibclass.bayes import (
-    CategoryModel,
-    TextClassifierConfig,
-    TextScore,
-    apply_triggers,
-    build_model,
-    classify_text,
-    record_text,
-    score_text,
-    term_probability,
-)
-from bibclass.citegraph import (
-    CitationClassifierConfig,
-    CitationGraph,
-    citation_ratio,
-    classify_citations,
-)
-from bibclass.corpus import (
-    BibRecord,
-    CitationLoadStats,
-    Corpus,
-    load_citations,
-    load_memberships,
-    load_model,
-    load_records,
-    save_model,
-)
+from bibclass.bayes import TextClassifierConfig, build_model
+from bibclass.citegraph import CitationClassifierConfig
+from bibclass.corpus import load_citations, load_memberships, load_model, load_records, save_model
 from bibclass.errors import BibclassError, DataError, UsageError
 from bibclass.evalhub import (
     Assignment,
     EvalReport,
-    ParamPoint,
-    SweepGrid,
     SweepGrids,
-    citation_score_table,
-    classify_combined,
     classify_corpus,
     emit_grid_csv,
-    precision_recall,
+    evaluate,
     sweep,
-    text_score_table,
 )
-from bibclass.textpipe import (
-    TokenizerConfig,
-    default_tokenizer_config,
-    filter_tokens,
-    load_term_list,
-    tokenize,
-)
+from bibclass.textpipe import default_tokenizer_config
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Assignment",
-    "BibRecord",
     "BibclassError",
-    "CategoryModel",
     "CitationClassifierConfig",
-    "CitationGraph",
-    "CitationLoadStats",
-    "Corpus",
     "DataError",
     "EvalReport",
-    "ParamPoint",
-    "SweepGrid",
     "SweepGrids",
     "TextClassifierConfig",
-    "TextScore",
-    "TokenizerConfig",
     "UsageError",
-    "apply_triggers",
     "build_model",
-    "citation_ratio",
-    "citation_score_table",
-    "classify_citations",
-    "classify_combined",
     "classify_corpus",
-    "classify_text",
     "default_tokenizer_config",
     "emit_grid_csv",
-    "filter_tokens",
+    "evaluate",
     "load_citations",
     "load_memberships",
     "load_model",
     "load_records",
-    "load_term_list",
-    "precision_recall",
-    "record_text",
     "save_model",
-    "score_text",
     "sweep",
-    "term_probability",
-    "text_score_table",
-    "tokenize",
     "__version__",
 ]

@@ -276,20 +276,3 @@ def apply_triggers(
         triggered=triggered,
     )
 
-
-def classify_text(
-    model: CategoryModel,
-    config: TextClassifierConfig,
-    tokenizer_config: TokenizerConfig,
-    record: BibRecord,
-) -> set[str]:
-    """Databases whose boosted score reaches the threshold, or the empty set.
-
-    Records with fewer than ``min_words`` surviving tokens are treated as
-    unclassifiable and never assigned anywhere.
-    """
-    tokens = filter_tokens(tokenize(record_text(record)), tokenizer_config)
-    if len(tokens) < config.min_words:
-        return set()
-    score = apply_triggers(score_text(model, config, tokens), tokens, config)
-    return {db for db in model.databases if score.per_db_score[db] >= config.score_threshold}

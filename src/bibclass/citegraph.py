@@ -1,9 +1,11 @@
-"""Classify records by the database membership of the papers citing them.
+"""The citation graph and the citation classifier's decision parameters.
 
 A record cited mostly from within one database is taken to belong to that
 database.  The classifier needs enough citations to be meaningful
 (``min_citations``) and a high enough fraction of them from the database
-in question (``ratio_threshold``).
+in question (``ratio_threshold``).  The fractions themselves are computed
+by ``evalhub.citation_score_table`` and thresholded there, on the same
+path as the text classifier's scores.
 """
 
 from __future__ import annotations
@@ -46,36 +48,3 @@ class CitationClassifierConfig:
         if not 0.0 < self.ratio_threshold <= 1.0:
             raise ValueError("ratio_threshold must be in (0, 1]")
 
-
-def citation_ratio(graph: CitationGraph, record_id: str, db: str) -> tuple[int, float]:
-    """Total citation count and the fraction of citers belonging to ``db``.
-
-    Unknown or uncited records report (0, 0.0).  Citers with no database
-    membership count in the total but never in the numerator.
-    """
-    citing = graph.citers.get(record_id, frozenset())
-    total = len(citing)
-    if total == 0:
-        return 0, 0.0
-    hits = sum(1 for c in citing if db in graph.memberships.get(c, frozenset()))
-    return total, hits / total
-
-
-def classify_citations(
-    graph: CitationGraph, config: CitationClassifierConfig, record_id: str
-) -> set[str]:
-    """Databases whose citation ratio reaches the threshold, or the empty set.
-
-    Records with fewer than ``min_citations`` citers are unclassifiable.
-    A citer belonging to several databases counts toward each of them, so
-    more than one database can clear the threshold.
-    """
-    total = len(graph.citers.get(record_id, frozenset()))
-    if total < config.min_citations:
-        return set()
-    assigned = set()
-    for db in graph.databases:
-        _, ratio = citation_ratio(graph, record_id, db)
-        if ratio >= config.ratio_threshold:
-            assigned.add(db)
-    return assigned

@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: str) -> dict[str, str]:
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -322,7 +322,7 @@ def load_triggers(
     """
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read triggers file {path}: {exc}") from exc
     triggers: dict[str, set[str]] = {}
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -419,16 +419,19 @@ def _load_classification_inputs(merged: dict[str, str | None], command: str, gri
             trigger_boost=_float_value(merged["boost"], "--boost", 0.0, 1.0),
         )
     return {
-        "mode": mode,
-        "workers": workers,
         "corpus": corpus,
-        "tokenizer_config": tokenizer_config,
-        "model": model,
-        "text_config": text_config,
-        "graph": graph,
-        "cite_config": cite_config,
         "databases": databases,
         "grids": SweepGrids(nt_values, st_values, nc_values, rc_values) if grid else None,
+        # The keyword arguments classify_corpus, evaluate and sweep share.
+        "inputs": dict(
+            mode=mode,
+            model=model,
+            text_config=text_config,
+            tokenizer_config=tokenizer_config,
+            graph=graph,
+            cite_config=cite_config,
+            workers=workers,
+        ),
     }
 
 
@@ -480,20 +483,11 @@ def emit_assignments(
 def _cmd_classify(merged: dict[str, str | None]) -> int:
     parts = _load_classification_inputs(merged, "classify")
     corpus: Corpus = parts["corpus"]
-    assignments = evalhub.classify_corpus(
-        corpus.records,
-        mode=parts["mode"],
-        model=parts["model"],
-        text_config=parts["text_config"],
-        tokenizer_config=parts["tokenizer_config"],
-        graph=parts["graph"],
-        cite_config=parts["cite_config"],
-        workers=parts["workers"],
-    )
+    assignments = evalhub.classify_corpus(corpus.records, **parts["inputs"])
     out = merged["out"]
     emit_assignments(assignments, parts["databases"], out)
     assigned = sum(1 for a in assignments if a.databases)
-    print(f"mode: {parts['mode']}")
+    print(f"mode: {parts['inputs']['mode']}")
     print(f"records: {len(assignments)} ({corpus.skipped} skipped)")
     print(f"assigned: {assigned} (unassigned: {len(assignments) - assigned})")
     for db in parts["databases"]:
@@ -506,30 +500,18 @@ def _cmd_classify(merged: dict[str, str | None]) -> int:
 def _cmd_evaluate(merged: dict[str, str | None]) -> int:
     parts = _load_classification_inputs(merged, "evaluate")
     corpus: Corpus = parts["corpus"]
-    assignments = evalhub.classify_corpus(
-        corpus.records,
-        mode=parts["mode"],
-        model=parts["model"],
-        text_config=parts["text_config"],
-        tokenizer_config=parts["tokenizer_config"],
-        graph=parts["graph"],
-        cite_config=parts["cite_config"],
-        workers=parts["workers"],
-    )
-    gold = corpus.gold()
-    databases = parts["databases"]
-    if merged["db"]:
-        if merged["db"] not in databases:
-            raise DataError(f"database '{merged['db']}' is not in the configured set")
-        databases = (merged["db"],)
-    print(f"mode: {parts['mode']}")
-    print(f"records: {len(assignments)} ({corpus.skipped} skipped)")
-    for db in databases:
-        rep = evalhub.precision_recall(assignments, gold, db)
-        print(
-            f"db={db} tp={rep.tp} fp={rep.fp} fn={rep.fn} "
-            f"precision={rep.precision:.6f} recall={rep.recall:.6f}"
-        )
+    db = merged["db"]
+    if db and db not in parts["databases"]:
+        raise DataError(f"database '{db}' is not in the configured set")
+    reports = evalhub.evaluate(corpus.records, **parts["inputs"])
+    print(f"mode: {parts['inputs']['mode']}")
+    print(f"records: {len(corpus.records)} ({corpus.skipped} skipped)")
+    for rep in reports:
+        if not db or rep.db == db:
+            print(
+                f"db={rep.db} tp={rep.tp} fp={rep.fp} fn={rep.fn} "
+                f"precision={rep.precision:.6f} recall={rep.recall:.6f}"
+            )
     return 0
 
 
@@ -537,18 +519,7 @@ def _cmd_sweep(merged: dict[str, str | None]) -> int:
     db = _require(merged, "db", "sweep")
     parts = _load_classification_inputs(merged, "sweep", grid=True)
     corpus: Corpus = parts["corpus"]
-    grid = evalhub.sweep(
-        corpus.records,
-        parts["grids"],
-        mode=parts["mode"],
-        db=db,
-        model=parts["model"],
-        text_config=parts["text_config"],
-        tokenizer_config=parts["tokenizer_config"],
-        graph=parts["graph"],
-        cite_config=parts["cite_config"],
-        workers=parts["workers"],
-    )
+    grid = evalhub.sweep(corpus.records, parts["grids"], db=db, **parts["inputs"])
     out = merged["grid_out"]
     evalhub.emit_grid_csv(grid, out)
     print(f"mode: {grid.mode}")

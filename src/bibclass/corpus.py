@@ -60,10 +60,6 @@ class Corpus:
     def ids(self) -> set[str]:
         return {r.id for r in self.records}
 
-    def gold(self) -> dict[str, set[str]]:
-        """Gold label map for evaluation: record id -> set of databases."""
-        return {r.id: set(r.gold_labels) for r in self.records}
-
 
 @dataclass(frozen=True)
 class CitationLoadStats:
@@ -73,6 +69,15 @@ class CitationLoadStats:
     duplicates: int = 0
     self_citations: int = 0
     unknown_citers: int = 0
+
+
+def _read_lines(path: str | Path, what: str) -> Iterator[str]:
+    """The lines of a UTF-8 text file; one that cannot be opened or decoded is a DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def load_records(path: str | Path) -> Corpus:
@@ -85,21 +90,16 @@ def load_records(path: str | Path) -> Corpus:
     records: list[BibRecord] = []
     seen: set[str] = set()
     skipped = 0
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read records file {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            record = _parse_record_line(line)
-            if record is None:
-                skipped += 1
-                log.warning("%s:%d: skipping malformed record line", path, lineno)
-                continue
-            if record.id in seen:
-                raise DataError(f"duplicate record id '{record.id}' at {path}:{lineno}")
-            seen.add(record.id)
-            records.append(record)
+    for lineno, line in enumerate(_read_lines(path, "records file"), start=1):
+        record = _parse_record_line(line)
+        if record is None:
+            skipped += 1
+            log.warning("%s:%d: skipping malformed record line", path, lineno)
+            continue
+        if record.id in seen:
+            raise DataError(f"duplicate record id '{record.id}' at {path}:{lineno}")
+        seen.add(record.id)
+        records.append(record)
     if skipped:
         log.warning("%s: skipped %d malformed line(s)", path, skipped)
     return Corpus(records=records, skipped=skipped)
@@ -133,6 +133,10 @@ def _parse_record_line(line: str) -> BibRecord | None:
         return None
     if not isinstance(labels, list) or any(not isinstance(x, str) or not x for x in labels):
         return None
+    try:
+        "".join((rid, title, abstract or "", journal or "", *labels)).encode("utf-8")
+    except UnicodeEncodeError:
+        return None  # a lone surrogate from a JSON escape, which no output file could hold
     return BibRecord(
         id=rid,
         title=title,
@@ -152,7 +156,7 @@ def load_memberships(path: str | Path) -> dict[str, frozenset[str]]:
     memberships: dict[str, set[str]] = {}
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read membership file {path}: {exc}") from exc
     for lineno, line in enumerate(raw.splitlines(), start=1):
         stripped = line.strip()
@@ -184,32 +188,27 @@ def load_citations(
     citers: dict[str, set[str]] = {}
     seen_edges: set[tuple[str, str]] = set()
     kept = duplicates = self_citations = unknown = 0
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read citations file {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise DataError(f"malformed citation edge at {path}:{lineno}")
-            citing, cited = parts
-            if citing == cited:
-                self_citations += 1
-                log.warning("%s:%d: dropping self-citation '%s'", path, lineno, citing)
-                continue
-            if citing not in known_ids:
-                unknown += 1
-                continue
-            if (citing, cited) in seen_edges:
-                duplicates += 1
-                continue
-            seen_edges.add((citing, cited))
-            citers.setdefault(cited, set()).add(citing)
-            kept += 1
+    for lineno, line in enumerate(_read_lines(path, "citations file"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise DataError(f"malformed citation edge at {path}:{lineno}")
+        citing, cited = parts
+        if citing == cited:
+            self_citations += 1
+            log.warning("%s:%d: dropping self-citation '%s'", path, lineno, citing)
+            continue
+        if citing not in known_ids:
+            unknown += 1
+            continue
+        if (citing, cited) in seen_edges:
+            duplicates += 1
+            continue
+        seen_edges.add((citing, cited))
+        citers.setdefault(cited, set()).add(citing)
+        kept += 1
     graph_memberships = {}
     for citing_set in citers.values():
         for c in citing_set:
@@ -250,7 +249,8 @@ def save_model(model: CategoryModel, path: str | Path) -> None:
     """Write a model in the versioned text format.
 
     Terms are sorted within each database block so identical models always
-    produce identical bytes.
+    produce identical bytes.  The file is replaced whole, so a failed write
+    leaves any earlier model as it was.
     """
     lines = [_MODEL_HEADER_PREFIX + MODEL_FORMAT_VERSION]
     lines.append(f"alpha\t{model.smoothing_alpha!r}")
@@ -258,18 +258,14 @@ def save_model(model: CategoryModel, path: str | Path) -> None:
         lines.append(f"db\t{db}\t{model.doc_counts[db]}\t{model.total_tokens[db]}")
         for term in sorted(model.term_counts[db]):
             lines.append(f"t\t{term}\t{model.term_counts[db][term]}")
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise DataError(f"cannot write model file {path}: {exc}") from exc
+    write_text_atomic(path, "\n".join(lines) + "\n", "model file")
 
 
 def load_model(path: str | Path) -> CategoryModel:
     """Read a model written by :func:`save_model`; round-trips are exact."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read model file {path}: {exc}") from exc
     lines = raw.splitlines()
     if not lines or not lines[0].startswith(_MODEL_HEADER_PREFIX):

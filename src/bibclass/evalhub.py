@@ -1,12 +1,16 @@
-"""Combine the two classifiers, score against gold labels, sweep parameters.
+"""One decision path for classify, evaluate and sweep: score, threshold, count.
 
-The combined assignment for a record is the union of what the text and
-citation classifiers produce; either one can rescue records the other
-cannot classify.  Sweeps precompute per-record score tables once, then
-turn every threshold pair into a bitmask over the records (one Python int,
-bit ``i`` for ``records[i]``): O(pairs * n) to build the masks, after which
-each grid point costs a few big-int operations instead of a pass over the
-corpus.
+Every record is scored once per classifier: its filtered token count and
+per-database text score (:func:`text_score_table`), its citer count and
+per-database citation ratio (:func:`citation_score_table`).  A decision
+point then turns each classifier's rows into bitmasks over the records
+(one Python int, bit ``i`` for ``records[i]``) through one rule, count at
+least the gate and value at least the threshold (:func:`_pair_masks`).
+The combined assignment is the union of the two classifiers' masks, so
+either one can rescue records the other cannot classify.
+:func:`classify_corpus` reads each record's databases off the masks at the
+configs' point; :func:`evaluate` and :func:`sweep` count the union against
+a gold mask at one point or at every point of a grid.
 """
 
 from __future__ import annotations
@@ -17,17 +21,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from bibclass.bayes import (
     CategoryModel,
     TextClassifierConfig,
     apply_triggers,
-    classify_text,
     record_text,
     score_text,
 )
-from bibclass.citegraph import CitationClassifierConfig, CitationGraph, classify_citations
+from bibclass.citegraph import CitationClassifierConfig, CitationGraph
 from bibclass.corpus import BibRecord, write_text_atomic
 from bibclass.errors import DataError, UsageError
 from bibclass.textpipe import TokenizerConfig, filter_tokens, tokenize
@@ -72,7 +75,7 @@ class EvalReport:
     fn: int
     precision: float
     recall: float
-    params: ParamPoint | None = None
+    params: ParamPoint
 
 
 @dataclass(frozen=True)
@@ -97,56 +100,6 @@ class SweepGrid:
     mode: str
     db: str
     reports: tuple[EvalReport, ...]
-
-
-def classify_combined(
-    model: CategoryModel,
-    text_config: TextClassifierConfig,
-    tokenizer_config: TokenizerConfig,
-    graph: CitationGraph,
-    cite_config: CitationClassifierConfig,
-    record: BibRecord,
-) -> Assignment:
-    """Run both classifiers on one record and union their assignments."""
-    return Assignment(
-        record_id=record.id,
-        via_text=frozenset(classify_text(model, text_config, tokenizer_config, record)),
-        via_citation=frozenset(classify_citations(graph, cite_config, record.id)),
-    )
-
-
-def precision_recall(
-    assignments: Iterable[Assignment],
-    gold: Mapping[str, set[str]],
-    db: str,
-    params: ParamPoint | None = None,
-) -> EvalReport:
-    """Count TP/FP/FN for one database over a full set of assignments.
-
-    With no assignments at all for the database, precision is 1 by
-    convention (nothing was claimed, so nothing was claimed wrongly);
-    recall is 1 only when there are no gold positives either.
-    """
-    tp = fp = fn = 0
-    for a in assignments:
-        if a.record_id not in gold:
-            raise DataError(f"assignment for '{a.record_id}' has no gold label entry")
-        assigned = db in a.databases
-        positive = db in gold[a.record_id]
-        if assigned and positive:
-            tp += 1
-        elif assigned:
-            fp += 1
-        elif positive:
-            fn += 1
-    return _report(db, tp, fp, fn, params)
-
-
-def _report(db: str, tp: int, fp: int, fn: int, params: ParamPoint | None) -> EvalReport:
-    """Report for raw counts; a zero denominator reads 1 (nothing claimed, nothing missed)."""
-    precision = tp / (tp + fp) if tp + fp else 1.0
-    recall = tp / (tp + fn) if tp + fn else 1.0
-    return EvalReport(db=db, tp=tp, fp=fp, fn=fn, precision=precision, recall=recall, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +154,13 @@ def text_score_table(
 def citation_score_table(
     records: Sequence[BibRecord], graph: CitationGraph
 ) -> dict[str, tuple[int, dict[str, float]]]:
-    """Citation total and per-database citation ratio for every record."""
+    """Citer count and per-database citation ratio for every record.
+
+    Each citer counts once.  A citer with no database membership counts in
+    the total but never in a ratio's numerator; a citer in several
+    databases counts toward each of them, so more than one database can
+    reach the threshold.  An uncited record has count 0 and every ratio 0.0.
+    """
     table = {}
     for record in records:
         citing = graph.citers.get(record.id, frozenset())
@@ -216,31 +175,6 @@ def citation_score_table(
     return table
 
 
-def _assign_from_tables(
-    record_id: str,
-    mode: str,
-    point: ParamPoint,
-    databases: tuple[str, ...],
-    text_row: tuple[int, dict[str, float]] | None,
-    cite_row: tuple[int, dict[str, float]] | None,
-) -> Assignment:
-    via_text: frozenset[str] = frozenset()
-    via_citation: frozenset[str] = frozenset()
-    if mode in ("text", "combined") and text_row is not None:
-        n, scores = text_row
-        if n >= point.min_words:
-            via_text = frozenset(
-                db for db in databases if scores[db] >= point.score_threshold
-            )
-    if mode in ("citation", "combined") and cite_row is not None:
-        total, ratios = cite_row
-        if total >= point.min_citations:
-            via_citation = frozenset(
-                db for db in databases if ratios[db] >= point.ratio_threshold
-            )
-    return Assignment(record_id=record_id, via_text=via_text, via_citation=via_citation)
-
-
 def _score_tables(
     records: Sequence[BibRecord],
     mode: str,
@@ -250,12 +184,14 @@ def _score_tables(
     graph: CitationGraph | None,
     cite_config: CitationClassifierConfig | None,
     workers: int,
-) -> tuple[tuple[str, ...], dict | None, dict | None]:
-    """Check ``mode`` and its inputs, then build the score tables it uses.
+) -> tuple[tuple[str, ...], list | None, list | None]:
+    """Check ``mode`` and its inputs, then score the records for the classifiers it uses.
 
-    Returns ``(databases, text_table, cite_table)``; a table the mode does
-    not use is None.  Combined mode needs the model and the graph to name
-    the same databases, since each record is scored against both.
+    Returns ``(databases, text_rows, cite_rows)``: the rows of
+    :func:`text_score_table` and :func:`citation_score_table` in record
+    order, or None for a classifier the mode does not use.  Combined mode
+    needs the model and the graph to name the same databases, since each
+    record is scored against both.
     """
     if mode not in MODES:
         raise UsageError(f"unknown mode '{mode}'")
@@ -270,48 +206,27 @@ def _score_tables(
             f"model databases {list(model.databases)} differ from "
             f"citation graph databases {list(graph.databases)}"
         )
-    text_table = (
-        text_score_table(records, model, text_config, tokenizer_config, workers)
-        if uses_text
-        else None
-    )
-    cite_table = citation_score_table(records, graph) if uses_citations else None
+    text_rows = cite_rows = None
+    if uses_text:
+        table = text_score_table(records, model, text_config, tokenizer_config, workers)
+        text_rows = [table[r.id] for r in records]
+    if uses_citations:
+        table = citation_score_table(records, graph)
+        cite_rows = [table[r.id] for r in records]
     databases = model.databases if uses_text else graph.databases
-    return databases, text_table, cite_table
+    return databases, text_rows, cite_rows
 
 
-def classify_corpus(
-    records: Sequence[BibRecord],
-    *,
-    mode: str = "combined",
-    model: CategoryModel | None = None,
-    text_config: TextClassifierConfig | None = None,
-    tokenizer_config: TokenizerConfig | None = None,
-    graph: CitationGraph | None = None,
-    cite_config: CitationClassifierConfig | None = None,
-    workers: int = 1,
-) -> list[Assignment]:
-    """Assign every record in input order, using the classifiers ``mode`` names."""
-    databases, text_table, cite_table = _score_tables(
-        records, mode, model, text_config, tokenizer_config, graph, cite_config, workers
-    )
-    point = ParamPoint(
+def _base_point(
+    text_config: TextClassifierConfig | None, cite_config: CitationClassifierConfig | None
+) -> ParamPoint:
+    """The configs' decision point; a classifier without a config gets placeholder values."""
+    return ParamPoint(
         min_words=text_config.min_words if text_config else 0,
         score_threshold=text_config.score_threshold if text_config else 0.0,
         min_citations=cite_config.min_citations if cite_config else 1,
         ratio_threshold=cite_config.ratio_threshold if cite_config else 1.0,
     )
-    return [
-        _assign_from_tables(
-            r.id,
-            mode,
-            point,
-            databases,
-            text_table[r.id] if text_table else None,
-            cite_table[r.id] if cite_table else None,
-        )
-        for r in records
-    ]
 
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -328,7 +243,7 @@ def _pair_masks(
     gates: list[int],
     thresholds: list[float],
 ) -> list[int]:
-    """One mask per (gate, threshold) pair, gate-major.
+    """One mask per (gate, threshold) pair, gate-major: the decision rule of both classifiers.
 
     Bit ``i`` is set iff ``rows[i]`` has a count of at least the gate and a
     ``db`` value of at least the threshold.  With no rows (the mode does not
@@ -339,6 +254,120 @@ def _pair_masks(
     by_gate = [_mask([count >= gate for count, _ in rows]) for gate in gates]
     by_threshold = [_mask([values[db] >= t for _, values in rows]) for t in thresholds]
     return [g & t for g in by_gate for t in by_threshold]
+
+
+def _assigned_sets(
+    rows: list[tuple[int, dict[str, float]]] | None,
+    databases: tuple[str, ...],
+    gate: int,
+    threshold: float,
+    n: int,
+) -> list[frozenset[str]]:
+    """Each of ``n`` records' databases at one (gate, threshold) pair, read off their masks.
+
+    Records share few distinct patterns of databases, so each pattern's set
+    is built once.
+    """
+    # Bit i of a mask is character i of its reversed binary digits; the slice
+    # drops the lone "0" that formatting writes for zero records.
+    columns = [
+        f"{_pair_masks(rows, db, [gate], [threshold])[0]:0{n}b}"[::-1][:n] for db in databases
+    ]
+    patterns = list(zip(*columns)) if columns else [()] * n
+    sets = {
+        p: frozenset(db for db, bit in zip(databases, p) if bit == "1") for p in set(patterns)
+    }
+    return [sets[p] for p in patterns]
+
+
+def _grid_reports(
+    records: Sequence[BibRecord],
+    db: str,
+    text_rows: list | None,
+    cite_rows: list | None,
+    nts: list[int],
+    sts: list[float],
+    ncs: list[int],
+    rcs: list[float],
+) -> list[EvalReport]:
+    """Count ``db`` at every point of ``product(nts, sts, ncs, rcs)``, in that order.
+
+    Each (nt, st) pair is a mask of the records the text classifier assigns
+    to ``db`` there, each (nc, rc) pair one for the citation classifier.  A
+    point is ``u = T | C``, with TP the bits ``u`` shares with the gold mask
+    of the records labeled ``db``.  A zero denominator reads 1: precision
+    with nothing assigned, recall with no gold positives.
+    """
+    gold = _mask([db in r.gold_labels for r in records])
+    positives = gold.bit_count()
+    cite_pairs = list(zip(product(ncs, rcs), _pair_masks(cite_rows, db, ncs, rcs)))
+    reports = []
+    for (nt, st), text_mask in zip(product(nts, sts), _pair_masks(text_rows, db, nts, sts)):
+        for (nc, rc), cite_mask in cite_pairs:
+            union = text_mask | cite_mask
+            tp = (union & gold).bit_count()
+            fp = union.bit_count() - tp
+            fn = positives - tp
+            reports.append(
+                EvalReport(
+                    db=db,
+                    tp=tp,
+                    fp=fp,
+                    fn=fn,
+                    precision=tp / (tp + fp) if tp + fp else 1.0,
+                    recall=tp / (tp + fn) if tp + fn else 1.0,
+                    params=ParamPoint(nt, st, nc, rc),
+                )
+            )
+    return reports
+
+
+def classify_corpus(
+    records: Sequence[BibRecord],
+    *,
+    mode: str = "combined",
+    model: CategoryModel | None = None,
+    text_config: TextClassifierConfig | None = None,
+    tokenizer_config: TokenizerConfig | None = None,
+    graph: CitationGraph | None = None,
+    cite_config: CitationClassifierConfig | None = None,
+    workers: int = 1,
+) -> list[Assignment]:
+    """Assign every record in input order, using the classifiers ``mode`` names."""
+    databases, text_rows, cite_rows = _score_tables(
+        records, mode, model, text_config, tokenizer_config, graph, cite_config, workers
+    )
+    p = _base_point(text_config, cite_config)
+    n = len(records)
+    via_text = _assigned_sets(text_rows, databases, p.min_words, p.score_threshold, n)
+    via_citation = _assigned_sets(cite_rows, databases, p.min_citations, p.ratio_threshold, n)
+    return [Assignment(r.id, t, c) for r, t, c in zip(records, via_text, via_citation)]
+
+
+def evaluate(
+    records: Sequence[BibRecord],
+    *,
+    mode: str = "combined",
+    model: CategoryModel | None = None,
+    text_config: TextClassifierConfig | None = None,
+    tokenizer_config: TokenizerConfig | None = None,
+    graph: CitationGraph | None = None,
+    cite_config: CitationClassifierConfig | None = None,
+    workers: int = 1,
+) -> list[EvalReport]:
+    """Precision and recall of every database at the configs' point, in database order.
+
+    Records count against their own labels, and each report is counted
+    exactly as a one-point :func:`sweep` would count it.
+    """
+    databases, text_rows, cite_rows = _score_tables(
+        records, mode, model, text_config, tokenizer_config, graph, cite_config, workers
+    )
+    nt, st, nc, rc = _base_point(text_config, cite_config)
+    return [
+        _grid_reports(records, db, text_rows, cite_rows, [nt], [st], [nc], [rc])[0]
+        for db in databases
+    ]
 
 
 def sweep(
@@ -360,16 +389,11 @@ def sweep(
     a text sweep emits one row per (min_words, score_threshold) pair.  Rows
     come out in ascending lexicographic order of the parameter tuple.
 
-    Each (min_words, score_threshold) pair becomes a mask of the records the
-    text classifier assigns to ``db`` there, each (min_citations,
-    ratio_threshold) pair one for the citation classifier, and an unused
-    classifier's masks are empty.  A grid point is then ``u = T | C``, with
-    TP the bits ``u`` shares with the gold mask.  Building the masks costs
-    one comparison pass over the records per grid value and one AND per
-    pair, O(pairs * n) at most; the points then cost O(points) big-int
-    operations.
+    The records are scored once.  Building the masks then costs one
+    comparison pass over the records per grid value and one AND per pair,
+    O(pairs * n) at most; the points cost O(points) big-int operations.
     """
-    databases, text_table, cite_table = _score_tables(
+    databases, text_rows, cite_rows = _score_tables(
         records, mode, model, text_config, tokenizer_config, graph, cite_config, workers
     )
     if db not in databases:
@@ -379,28 +403,12 @@ def sweep(
     sts = sorted(set(grids.score_thresholds))
     ncs = sorted(set(grids.min_citations))
     rcs = sorted(set(grids.ratio_thresholds))
+    base = _base_point(text_config, cite_config)
     if mode == "text":
-        ncs = [cite_config.min_citations if cite_config else 1]
-        rcs = [cite_config.ratio_threshold if cite_config else 1.0]
+        ncs, rcs = [base.min_citations], [base.ratio_threshold]
     elif mode == "citation":
-        nts = [text_config.min_words if text_config else 0]
-        sts = [text_config.score_threshold if text_config else 0.0]
-
-    gold_mask = _mask([db in r.gold_labels for r in records])
-    positives = gold_mask.bit_count()
-    text_rows = [text_table[r.id] for r in records] if text_table is not None else None
-    cite_rows = [cite_table[r.id] for r in records] if cite_table is not None else None
-    text_pairs = zip(product(nts, sts), _pair_masks(text_rows, db, nts, sts))
-    cite_pairs = list(zip(product(ncs, rcs), _pair_masks(cite_rows, db, ncs, rcs)))
-
-    reports = []
-    for (nt, st), text_mask in text_pairs:
-        for (nc, rc), cite_mask in cite_pairs:
-            union = text_mask | cite_mask
-            tp = (union & gold_mask).bit_count()
-            reports.append(
-                _report(db, tp, union.bit_count() - tp, positives - tp, ParamPoint(nt, st, nc, rc))
-            )
+        nts, sts = [base.min_words], [base.score_threshold]
+    reports = _grid_reports(records, db, text_rows, cite_rows, nts, sts, ncs, rcs)
     return SweepGrid(mode=mode, db=db, reports=tuple(reports))
 
 
@@ -416,8 +424,6 @@ def emit_grid_csv(grid: SweepGrid, path: str | Path) -> None:
     lines = ["mode,db,N_t,S_t,N_c,R_c,tp,fp,fn,precision,recall"]
     for rep in grid.reports:
         p = rep.params
-        if p is None:
-            raise ValueError("sweep report is missing its parameter point")
         lines.append(
             f"{grid.mode},{grid.db},{p.min_words},{p.score_threshold:.6f},"
             f"{p.min_citations},{p.ratio_threshold:.6f},"

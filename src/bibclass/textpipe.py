@@ -123,7 +123,7 @@ def load_term_list(path: str | Path) -> list[str]:
     """Read one term (or phrase) per line; blank lines and # comments ignored."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read term list {path}: {exc}") from exc
     terms = []
     for line in raw.splitlines():

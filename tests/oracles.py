@@ -142,6 +142,27 @@ def precision_recall_counts(assigned, gold, db):
     return tp, fp, fn, precision, recall
 
 
+def assign_reference(record_id, mode, databases, text_table, cite_table, point):
+    """One record's ``(via_text, via_citation)`` database sets at one point.
+
+    ``point`` is ``(N_t, S_t, N_c, R_c)``; each classifier assigns a
+    database when the record's count reaches the gate and its value for
+    that database reaches the threshold.  A classifier ``mode`` does not use
+    assigns nothing.
+    """
+    nt, st, nc, rc = point
+    via_text, via_citation = set(), set()
+    if mode in ("text", "combined"):
+        n, scores = text_table[record_id]
+        if n >= nt:
+            via_text = {d for d in databases if scores[d] >= st}
+    if mode in ("citation", "combined"):
+        total, ratios = cite_table[record_id]
+        if total >= nc:
+            via_citation = {d for d in databases if ratios[d] >= rc}
+    return via_text, via_citation
+
+
 def sweep_reference(records, mode, db, databases, text_table, cite_table, grids, base):
     """Sweep one database by assigning every record at every grid point.
 
@@ -160,18 +181,11 @@ def sweep_reference(records, mode, db, databases, text_table, cite_table, grids,
     gold = {i: set(r.gold_labels) for i, r in enumerate(records)}
     rows = []
     for point in product(nts, sts, ncs, rcs):
-        nt, st, nc, rc = point
-        assigned = {}
-        for i, r in enumerate(records):
-            dbs = set()
-            if mode in ("text", "combined"):
-                n, scores = text_table[r.id]
-                if n >= nt:
-                    dbs |= {d for d in databases if scores[d] >= st}
-            if mode in ("citation", "combined"):
-                total, ratios = cite_table[r.id]
-                if total >= nc:
-                    dbs |= {d for d in databases if ratios[d] >= rc}
-            assigned[i] = dbs
+        assigned = {
+            i: set().union(
+                *assign_reference(r.id, mode, databases, text_table, cite_table, point)
+            )
+            for i, r in enumerate(records)
+        }
         rows.append((*precision_recall_counts(assigned, gold, db), point))
     return rows

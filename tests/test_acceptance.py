@@ -20,9 +20,9 @@ import bibclass
 import oracles
 import synth
 from bibclass.bayes import TextClassifierConfig, build_model, score_text
-from bibclass.citegraph import CitationClassifierConfig, CitationGraph, classify_citations
+from bibclass.citegraph import CitationClassifierConfig, CitationGraph
 from bibclass.corpus import BibRecord, load_citations, load_model, save_model
-from bibclass.evalhub import SweepGrids, classify_corpus, precision_recall, sweep
+from bibclass.evalhub import SweepGrids, classify_corpus, evaluate, sweep
 from bibclass.textpipe import TokenizerConfig, default_tokenizer_config
 
 PLAIN = TokenizerConfig()
@@ -96,17 +96,20 @@ def test_criterion_2_citation_classifier_matches_raw_recount(tmp_path):
                 min_citations=rng.randint(1, 6),
                 ratio_threshold=rng.choice([0.2, 0.25, 0.5, 0.75, 1.0]),
             )
-            for rid in cited_ids:
+            records = [BibRecord(id=rid, title="t", year=1997) for rid in cited_ids]
+            got = classify_corpus(records, mode="citation", graph=graph, cite_config=config)
+            assert [a.record_id for a in got] == cited_ids
+            for a in got:
                 want = oracles.citation_assignments(
                     edges,
                     memberships,
                     known,
                     databases,
-                    rid,
+                    a.record_id,
                     config.min_citations,
                     config.ratio_threshold,
                 )
-                assert classify_citations(graph, config, rid) == want
+                assert a.via_citation == want
         assert time.perf_counter() - start < 5.0
 
 
@@ -182,11 +185,10 @@ def test_criterion_4_benchmark_reproduces_golden_values(bench, bench_test, bench
 
         text_config = TextClassifierConfig(min_words=N_T, score_threshold=S_T)
         cite_config = CitationClassifierConfig(min_citations=N_C, ratio_threshold=R_C)
-        gold = bench_test.gold()
+        gold = {r.id: r.gold_labels for r in bench_test.records}
         recalls = {}
         for mode in ("text", "citation", "combined"):
-            assignments = classify_corpus(
-                bench_test.records,
+            inputs = dict(
                 mode=mode,
                 model=bench_model,
                 text_config=text_config,
@@ -194,13 +196,19 @@ def test_criterion_4_benchmark_reproduces_golden_values(bench, bench_test, bench
                 graph=bench_graph,
                 cite_config=cite_config,
             )
-            for db in synth.DATABASES:
-                report = precision_recall(assignments, gold, db)
+            reports = evaluate(bench_test.records, **inputs)
+            assignments = classify_corpus(bench_test.records, **inputs)
+            assigned = {a.record_id: a.databases for a in assignments}
+            assert [r.db for r in reports] == list(synth.DATABASES)
+            for report in reports:
+                db = report.db
                 assert (report.tp, report.fp, report.fn) == GOLDEN[(mode, db)], (
                     mode,
                     db,
                     report,
                 )
+                counted = oracles.precision_recall_counts(assigned, gold, db)
+                assert counted == (report.tp, report.fp, report.fn, report.precision, report.recall)
                 recalls[(mode, db)] = report.recall
         for db in synth.DATABASES:
             assert recalls[("combined", db)] >= recalls[("text", db)]

@@ -12,13 +12,13 @@ from bibclass.bayes import (
     TextClassifierConfig,
     apply_triggers,
     build_model,
-    classify_text,
     record_text,
     score_text,
     term_probability,
 )
 from bibclass.corpus import BibRecord
 from bibclass.errors import DataError
+from bibclass.evalhub import classify_corpus
 from bibclass.textpipe import TokenizerConfig, filter_tokens, tokenize
 
 PLAIN = TokenizerConfig()
@@ -284,7 +284,15 @@ class TestTriggers:
             TextClassifierConfig(triggers={"astro": frozenset({"Supernova"})})
 
 
-class TestClassifyText:
+def classify_text(model, config, tokenizer_config, rec):
+    """One record's text-classifier databases, through classify_corpus."""
+    (a,) = classify_corpus(
+        [rec], mode="text", model=model, text_config=config, tokenizer_config=tokenizer_config
+    )
+    return a.via_text
+
+
+class TestTextDecision:
     def test_short_records_are_never_assigned(self):
         model = toy_model()
         config = TextClassifierConfig(min_words=5, score_threshold=0.0)

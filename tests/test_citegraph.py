@@ -4,13 +4,19 @@ import pytest
 
 import oracles
 import synth
-from bibclass.citegraph import (
-    CitationClassifierConfig,
-    CitationGraph,
-    citation_ratio,
-    classify_citations,
-)
-from bibclass.corpus import load_citations
+from bibclass.citegraph import CitationClassifierConfig, CitationGraph
+from bibclass.corpus import BibRecord, load_citations
+from bibclass.evalhub import citation_score_table, classify_corpus
+
+
+def rec(rid):
+    return BibRecord(id=rid, title="t", year=1997)
+
+
+def classify_citations(g, config, record_id):
+    """One record's citation-classifier databases, through classify_corpus."""
+    (a,) = classify_corpus([rec(record_id)], mode="citation", graph=g, cite_config=config)
+    return a.via_citation
 
 
 def graph():
@@ -30,22 +36,25 @@ def graph():
     )
 
 
-class TestCitationRatio:
+class TestCitationScoreTable:
     def test_counts_each_citer_once(self):
-        assert citation_ratio(graph(), "r1", "astro") == (4, 0.5)
-        assert citation_ratio(graph(), "r1", "phys") == (4, 0.5)
+        assert citation_score_table([rec("r1")], graph()) == {
+            "r1": (4, {"astro": 0.5, "phys": 0.5})
+        }
 
     def test_uncited_record_has_no_ratio(self):
-        assert citation_ratio(graph(), "ghost", "astro") == (0, 0.0)
+        assert citation_score_table([rec("ghost")], graph()) == {
+            "ghost": (0, {"astro": 0.0, "phys": 0.0})
+        }
 
     def test_empty_membership_citers_dilute(self):
         # c4 has no memberships: it grows the denominator only.
-        total, ratio = citation_ratio(graph(), "r1", "astro")
+        total, ratios = citation_score_table([rec("r1")], graph())["r1"]
         assert total == 4
-        assert ratio == pytest.approx(2 / 4)
+        assert ratios["astro"] == pytest.approx(2 / 4)
 
 
-class TestClassifyCitations:
+class TestCitationDecision:
     def test_threshold_is_inclusive(self):
         config = CitationClassifierConfig(min_citations=4, ratio_threshold=0.5)
         assert classify_citations(graph(), config, "r1") == {"astro", "phys"}
@@ -104,14 +113,17 @@ class TestAgainstRawRecount:
                 min_citations=rng.randint(1, 5),
                 ratio_threshold=rng.choice([0.25, 0.5, 0.75, 1.0]),
             )
-            for rid in cited_ids:
+            records = [rec(rid) for rid in cited_ids]
+            got = classify_corpus(records, mode="citation", graph=g, cite_config=config)
+            assert [a.record_id for a in got] == cited_ids
+            for a in got:
                 want = oracles.citation_assignments(
                     edges,
                     memberships,
                     known,
                     databases,
-                    rid,
+                    a.record_id,
                     config.min_citations,
                     config.ratio_threshold,
                 )
-                assert classify_citations(g, config, rid) == want
+                assert a.via_citation == want

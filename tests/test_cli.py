@@ -432,6 +432,67 @@ class TestConfigFile:
         assert rc == 1
 
 
+class TestInputEncoding:
+    @pytest.mark.parametrize(
+        "reader",
+        ["records", "citations", "memberships", "model", "stopwords", "triggers", "config"],
+    )
+    def test_invalid_utf8_is_a_data_error(self, workspace, monkeypatch, capsys, reader):
+        model = build(workspace)
+        bad = workspace / "bad.bin"
+        bad.write_bytes(b"ok\n\xff\n")
+        argv = [
+            "classify",
+            "--records",
+            str(workspace / "test.jsonl"),
+            "--model",
+            str(model),
+            "--citations",
+            str(workspace / "citations.tsv"),
+            "--memberships",
+            str(workspace / "memberships.tsv"),
+            "--out",
+            str(workspace / "out.tsv"),
+        ]
+        if reader == "config":
+            monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(bad))
+        else:
+            argv += [f"--{reader}", str(bad)]  # the last of a repeated flag wins
+        capsys.readouterr()
+        assert cli.run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read")
+        assert "bad.bin" in err
+        assert not (workspace / "out.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["build-model", "classify", "evaluate", "sweep"])
+    def test_lone_surrogate_record_is_skipped(self, workspace, capsys, command):
+        model = build(workspace)
+        bad = {"id": "bad\ud800", "title": "quasar galaxy star", "year": 1997, "labels": ["astro"]}
+        if command == "build-model":
+            bad = dict(bad, id="bad", labels=["astro\ud800"])
+        clean = workspace / ("train.jsonl" if command == "build-model" else "test.jsonl")
+        dirty = workspace / "dirty.jsonl"
+        dirty.write_text(clean.read_text(encoding="utf-8") + json.dumps(bad) + "\n", "utf-8")
+        out = workspace / "out"
+        text = ["--model", str(model), "--mode", "text"]
+        flags = {
+            "build-model": ["--model", str(out)],
+            "classify": [*text, "--out", str(out)],
+            "evaluate": text,
+            "sweep": [*text, "--db", "astro", "--grid-out", str(out)],
+        }[command]
+        runs = []
+        for records in (clean, dirty):
+            out.unlink(missing_ok=True)
+            capsys.readouterr()
+            assert cli.run([command, "--records", str(records), *flags]) == 0
+            runs.append((capsys.readouterr().out, out.read_bytes() if out.exists() else None))
+        (clean_stdout, clean_out), (dirty_stdout, dirty_out) = runs
+        assert dirty_out == clean_out
+        assert dirty_stdout == clean_stdout.replace("(0 skipped)", "(1 skipped)")
+
+
 class TestTriggers:
     def test_trigger_file_parses_and_applies(self, workspace):
         model = build(workspace)

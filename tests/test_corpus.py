@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -60,6 +61,12 @@ class TestLoadRecords:
             json.dumps({"id": "x", "title": "t", "year": 1, "labels": [""]}),
             json.dumps({"id": "x", "title": "t", "year": 1}),
             "",
+            # Lone surrogates from JSON escapes, which no UTF-8 output can hold.
+            json.dumps({"id": "x\ud800", "title": "t", "year": 1, "labels": []}),
+            json.dumps({"id": "x", "title": "t\udc00", "year": 1, "labels": []}),
+            json.dumps({"id": "x", "title": "t", "abstract": "\udfff", "year": 1, "labels": []}),
+            json.dumps({"id": "x", "title": "t", "journal": "j\ud800", "year": 1, "labels": []}),
+            json.dumps({"id": "x", "title": "t", "year": 1, "labels": ["astro\ud800"]}),
         ],
     )
     def test_malformed_lines_are_skipped_and_counted(self, tmp_path, line):
@@ -69,6 +76,15 @@ class TestLoadRecords:
         corpus = load_records(path)
         assert [r.id for r in corpus.records] == ["ok"]
         assert corpus.skipped == 1
+
+    def test_escaped_surrogate_pair_is_kept(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        line = json.dumps({"id": "x\U0001f600", "title": "t", "year": 1, "labels": []})
+        assert "\\ud83d\\ude00" in line
+        write_lines(path, [line])
+        corpus = load_records(path)
+        assert [r.id for r in corpus.records] == ["x\U0001f600"]
+        assert corpus.skipped == 0
 
     def test_duplicate_id_aborts(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -81,7 +97,7 @@ class TestLoadRecords:
         with pytest.raises(DataError):
             load_records(tmp_path / "absent.jsonl")
 
-    def test_gold_map_covers_every_record(self, tmp_path):
+    def test_labels_become_each_records_gold_set(self, tmp_path):
         path = tmp_path / "r.jsonl"
         write_lines(
             path,
@@ -90,7 +106,8 @@ class TestLoadRecords:
                 json.dumps({"id": "b", "title": "t", "year": 1, "labels": []}),
             ],
         )
-        assert load_records(path).gold() == {"a": {"x", "y"}, "b": set()}
+        gold = {r.id: r.gold_labels for r in load_records(path)}
+        assert gold == {"a": frozenset({"x", "y"}), "b": frozenset()}
 
 
 class TestLoadMemberships:
@@ -189,6 +206,22 @@ class TestModelRoundTrip:
             if line.startswith("t\t")
         ][:2]
         assert astro_terms == sorted(astro_terms)
+
+    def test_failed_replace_keeps_the_old_model(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.txt"
+        save_model(small_model(), path)
+        before = path.read_bytes()
+        replacement = small_model()
+        replacement.smoothing_alpha = 2.0
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(DataError, match="disk full"):
+            save_model(replacement, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.txt"]
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "model.txt"

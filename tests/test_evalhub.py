@@ -11,8 +11,14 @@ from hypothesis import strategies as st
 import oracles
 import synth
 from bibclass import evalhub
-from bibclass.bayes import TextClassifierConfig, build_model, classify_text
-from bibclass.citegraph import CitationClassifierConfig, CitationGraph, classify_citations
+from bibclass.bayes import (
+    TextClassifierConfig,
+    apply_triggers,
+    build_model,
+    record_text,
+    score_text,
+)
+from bibclass.citegraph import CitationClassifierConfig, CitationGraph
 from bibclass.corpus import BibRecord
 from bibclass.errors import DataError, UsageError
 from bibclass.evalhub import (
@@ -21,14 +27,13 @@ from bibclass.evalhub import (
     ParamPoint,
     SweepGrids,
     citation_score_table,
-    classify_combined,
     classify_corpus,
     emit_grid_csv,
-    precision_recall,
+    evaluate,
     sweep,
     text_score_table,
 )
-from bibclass.textpipe import TokenizerConfig
+from bibclass.textpipe import TokenizerConfig, filter_tokens, tokenize
 
 PLAIN = TokenizerConfig()
 
@@ -83,40 +88,69 @@ class TestAssignment:
         assert a.databases == frozenset({"astro", "phys"})
 
 
-class TestClassifyCombined:
+def inputs(setup):
+    """The keyword arguments classify_corpus and evaluate take, from the fixture."""
+    _, model, graph, text_config, cite_config = setup
+    return dict(
+        model=model,
+        text_config=text_config,
+        tokenizer_config=PLAIN,
+        graph=graph,
+        cite_config=cite_config,
+    )
+
+
+def reference_text_table(records, model, text_config, tokenizer_config):
+    """Token count and boosted scores per record, chained call by call."""
+    table = {}
+    for r in records:
+        tokens = filter_tokens(tokenize(record_text(r)), tokenizer_config)
+        score = apply_triggers(score_text(model, text_config, tokens), tokens, text_config)
+        table[r.id] = (len(tokens), score.per_db_score)
+    return table
+
+
+def reference_point(setup):
+    _, _, _, text_config, cite_config = setup
+    return (
+        text_config.min_words,
+        text_config.score_threshold,
+        cite_config.min_citations,
+        cite_config.ratio_threshold,
+    )
+
+
+class TestCombinedDecision:
     def test_union_rescues_short_records(self, setup):
-        records, model, graph, text_config, cite_config = setup
-        by_id = {r.id: r for r in records}
-        a = classify_combined(model, text_config, PLAIN, graph, cite_config, by_id["r3"])
+        records = setup[0]
+        by_id = {a.record_id: a for a in classify_corpus(records, **inputs(setup))}
+        a = by_id["r3"]
         assert a.via_text == frozenset()
         assert a.via_citation == frozenset({"astro"})
         assert a.databases == frozenset({"astro"})
 
     def test_both_routes_can_agree(self, setup):
-        records, model, graph, text_config, cite_config = setup
-        by_id = {r.id: r for r in records}
-        a = classify_combined(model, text_config, PLAIN, graph, cite_config, by_id["r2"])
+        records = setup[0]
+        by_id = {a.record_id: a for a in classify_corpus(records, **inputs(setup))}
+        a = by_id["r2"]
         assert a.via_text == frozenset({"phys"})
         assert a.via_citation == frozenset({"phys"})
 
 
 class TestClassifyCorpus:
-    def test_combined_matches_per_record_calls(self, setup):
-        records, model, graph, text_config, cite_config = setup
-        got = classify_corpus(
-            records,
-            mode="combined",
-            model=model,
-            text_config=text_config,
-            tokenizer_config=PLAIN,
-            graph=graph,
-            cite_config=cite_config,
-        )
+    def test_combined_matches_per_record_reference(self, setup):
+        records, model, graph, text_config, _ = setup
+        got = classify_corpus(records, mode="combined", **inputs(setup))
+        text_table = reference_text_table(records, model, text_config, PLAIN)
+        cite_table = citation_score_table(records, graph)
+        assert [a.record_id for a in got] == [r.id for r in records]
         for a, r in zip(got, records):
-            want = classify_combined(model, text_config, PLAIN, graph, cite_config, r)
-            assert a == want
+            want = oracles.assign_reference(
+                r.id, "combined", ("astro", "phys"), text_table, cite_table, reference_point(setup)
+            )
+            assert (a.via_text, a.via_citation) == want
 
-    def test_text_mode_matches_classify_text(self, setup):
+    def test_text_mode_matches_per_record_reference(self, setup):
         records, model, _, text_config, _ = setup
         got = classify_corpus(
             records,
@@ -125,18 +159,40 @@ class TestClassifyCorpus:
             text_config=text_config,
             tokenizer_config=PLAIN,
         )
+        text_table = reference_text_table(records, model, text_config, PLAIN)
+        assert [a.record_id for a in got] == [r.id for r in records]
         for a, r in zip(got, records):
-            assert a.via_text == frozenset(classify_text(model, text_config, PLAIN, r))
+            want, _ = oracles.assign_reference(
+                r.id, "text", ("astro", "phys"), text_table, None, reference_point(setup)
+            )
+            assert a.via_text == want
             assert a.via_citation == frozenset()
 
-    def test_citation_mode_matches_classify_citations(self, setup):
+    def test_citation_mode_matches_raw_recount(self, setup):
         records, _, graph, _, cite_config = setup
         got = classify_corpus(
             records, mode="citation", graph=graph, cite_config=cite_config
         )
+        edges = [(c, cited) for cited, citing in graph.citers.items() for c in citing]
+        assert [a.record_id for a in got] == [r.id for r in records]
         for a, r in zip(got, records):
-            assert a.via_citation == frozenset(classify_citations(graph, cite_config, r.id))
+            want = oracles.citation_assignments(
+                edges,
+                graph.memberships,
+                set(graph.memberships),
+                graph.databases,
+                r.id,
+                cite_config.min_citations,
+                cite_config.ratio_threshold,
+            )
+            assert a.via_citation == want
             assert a.via_text == frozenset()
+
+    def test_graph_without_databases_keeps_every_record(self, setup):
+        records, _, graph, _, cite_config = setup
+        bare = CitationGraph(citers=graph.citers, memberships=graph.memberships)
+        got = classify_corpus(records, mode="citation", graph=bare, cite_config=cite_config)
+        assert got == [Assignment(r.id, frozenset(), frozenset()) for r in records]
 
     def test_unknown_mode_rejected(self, setup):
         records, model, graph, text_config, cite_config = setup
@@ -235,52 +291,52 @@ class TestWorkerCap:
         assert got == text_score_table(records, model, text_config, PLAIN, workers=1)
 
 
-class TestPrecisionRecall:
+def cited_by_astro(records, cited_ids):
+    """``records`` where each id in ``cited_ids`` has one citer, in astro."""
+    graph = CitationGraph(
+        citers={rid: frozenset({"c1"}) for rid in cited_ids},
+        memberships={"c1": frozenset({"astro"})},
+        databases=("astro", "phys"),
+    )
+    cite_config = CitationClassifierConfig(min_citations=1, ratio_threshold=0.5)
+    return evaluate(records, mode="citation", graph=graph, cite_config=cite_config)
+
+
+class TestEvaluate:
     def test_direct_counting(self):
-        assignments = [
-            Assignment("r1", frozenset({"astro"}), frozenset()),
-            Assignment("r2", frozenset({"astro"}), frozenset()),
-            Assignment("r3", frozenset(), frozenset()),
+        records = [
+            record("r1", "t", ["astro"]),
+            record("r2", "t"),
+            record("r3", "t", ["astro"]),
         ]
-        gold = {"r1": {"astro"}, "r2": set(), "r3": {"astro"}}
-        report = precision_recall(assignments, gold, "astro")
+        report = cited_by_astro(records, ["r1", "r2"])[0]
+        assert report.db == "astro"
         assert (report.tp, report.fp, report.fn) == (1, 1, 1)
         assert report.precision == pytest.approx(0.5)
         assert report.recall == pytest.approx(0.5)
 
     def test_zero_assignments_give_precision_one(self):
-        assignments = [Assignment("r1", frozenset(), frozenset())]
-        report = precision_recall(assignments, {"r1": {"astro"}}, "astro")
+        report = cited_by_astro([record("r1", "t", ["astro"])], [])[0]
         assert report.precision == 1.0
         assert report.recall == 0.0
 
     def test_no_gold_positives_give_recall_one(self):
-        assignments = [Assignment("r1", frozenset(), frozenset())]
-        report = precision_recall(assignments, {"r1": set()}, "astro")
+        report = cited_by_astro([record("r1", "t")], [])[0]
         assert report.precision == 1.0
         assert report.recall == 1.0
 
     def test_conservation_against_gold_positives(self, setup):
-        records, model, graph, text_config, cite_config = setup
-        assignments = classify_corpus(
-            records,
-            mode="combined",
-            model=model,
-            text_config=text_config,
-            tokenizer_config=PLAIN,
-            graph=graph,
-            cite_config=cite_config,
-        )
-        gold = {r.id: set(r.gold_labels) for r in records}
-        for db in ("astro", "phys"):
-            report = precision_recall(assignments, gold, db)
-            positives = sum(1 for labels in gold.values() if db in labels)
+        records = setup[0]
+        reports = evaluate(records, mode="combined", **inputs(setup))
+        assert [r.db for r in reports] == ["astro", "phys"]
+        for report in reports:
+            positives = sum(1 for r in records if report.db in r.gold_labels)
             assert report.tp + report.fn == positives
 
-    def test_missing_gold_entry_aborts(self):
-        assignments = [Assignment("mystery", frozenset(), frozenset())]
-        with pytest.raises(DataError, match="mystery"):
-            precision_recall(assignments, {"other": set()}, "astro")
+    def test_unlabeled_record_is_a_negative(self):
+        # Gold labels come from the records themselves, so no record lacks them.
+        report = cited_by_astro([record("mystery", "t")], ["mystery"])[0]
+        assert (report.tp, report.fp, report.fn) == (0, 1, 0)
 
 
 class TestSweep:
@@ -304,19 +360,12 @@ class TestSweep:
             cite_config=cite_config,
         )
         assert len(grid.reports) == 1
-        assignments = classify_corpus(
-            records,
-            mode="combined",
-            model=model,
-            text_config=text_config,
-            tokenizer_config=PLAIN,
-            graph=graph,
-            cite_config=cite_config,
-        )
-        gold = {r.id: set(r.gold_labels) for r in records}
-        direct = precision_recall(assignments, gold, "astro")
+        assignments = classify_corpus(records, mode="combined", **inputs(setup))
+        assigned = {a.record_id: a.databases for a in assignments}
+        gold = {r.id: r.gold_labels for r in records}
+        direct = oracles.precision_recall_counts(assigned, gold, "astro")
         report = grid.reports[0]
-        assert (report.tp, report.fp, report.fn) == (direct.tp, direct.fp, direct.fn)
+        assert (report.tp, report.fp, report.fn, report.precision, report.recall) == direct
         assert report.params == ParamPoint(4, 0.6, 2, 0.5)
 
     def test_rows_in_lexicographic_parameter_order(self, setup):
@@ -471,6 +520,37 @@ def sweep_corpora(draw):
     return records, graph
 
 
+def recorded_values(text_table, cite_table):
+    """Every recorded token count, text score, citer count and citation ratio."""
+    return (
+        [n for n, _ in text_table.values()],
+        [s[d] for _, s in text_table.values() for d in _DBS],
+        [n for n, _ in cite_table.values()],
+        [r[d] for _, r in cite_table.values() for d in _DBS],
+    )
+
+
+def draw_configs(data, text_table, cite_table):
+    """Base configs whose four decision values include recorded ones."""
+    counts, scores, totals, ratios = recorded_values(text_table, cite_table)
+    text_config = TextClassifierConfig(
+        min_words=data.draw(st.sampled_from(sorted(set(counts) | {0, 9}))),
+        score_threshold=data.draw(st.sampled_from(sorted({s for s in scores if s <= 1} | {0.5}))),
+        triggers=_TRIGGERED.triggers,
+    )
+    cite_config = CitationClassifierConfig(
+        min_citations=data.draw(st.sampled_from(sorted({n for n in totals if n} | {1, 7}))),
+        ratio_threshold=data.draw(st.sampled_from(sorted({r for r in ratios if r} | {1.0}))),
+    )
+    point = (
+        text_config.min_words,
+        text_config.score_threshold,
+        cite_config.min_citations,
+        cite_config.ratio_threshold,
+    )
+    return text_config, cite_config, point
+
+
 class TestSweepProperties:
     @given(case=sweep_corpora(), mode=st.sampled_from(MODES), db=st.sampled_from(_DBS), data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -478,10 +558,7 @@ class TestSweepProperties:
         records, graph = case
         text_table = text_score_table(records, _MODEL, _TRIGGERED, PLAIN)
         cite_table = citation_score_table(records, graph)
-        counts = [n for n, _ in text_table.values()]
-        scores = [s[d] for _, s in text_table.values() for d in _DBS]
-        totals = [n for n, _ in cite_table.values()]
-        ratios = [r[d] for _, r in cite_table.values() for d in _DBS]
+        counts, scores, totals, ratios = recorded_values(text_table, cite_table)
 
         def values(seen, extra):
             # Grid values hit recorded counts, scores and ratios exactly, repeat,
@@ -494,15 +571,7 @@ class TestSweepProperties:
             data.draw(values(totals, [1, 2, 7])),
             data.draw(values(ratios, [0.25, 0.5, 1.0, 2.0])),
         )
-        text_config = TextClassifierConfig(
-            min_words=data.draw(st.sampled_from(sorted(set(counts) | {0, 9}))),
-            score_threshold=data.draw(st.sampled_from(sorted({s for s in scores if s <= 1} | {0.5}))),
-            triggers=_TRIGGERED.triggers,
-        )
-        cite_config = CitationClassifierConfig(
-            min_citations=data.draw(st.sampled_from(sorted({n for n in totals if n} | {1, 7}))),
-            ratio_threshold=data.draw(st.sampled_from(sorted({r for r in ratios if r} | {1.0}))),
-        )
+        text_config, cite_config, base = draw_configs(data, text_table, cite_table)
         grid = sweep(
             records,
             grids,
@@ -514,18 +583,47 @@ class TestSweepProperties:
             graph=graph,
             cite_config=cite_config,
         )
-        base = (
-            text_config.min_words,
-            text_config.score_threshold,
-            cite_config.min_citations,
-            cite_config.ratio_threshold,
-        )
         lists = (grids.min_words, grids.score_thresholds, grids.min_citations, grids.ratio_thresholds)
         want = oracles.sweep_reference(
             records, mode, db, _DBS, text_table, cite_table, lists, base
         )
         got = [(r.tp, r.fp, r.fn, r.precision, r.recall, r.params) for r in grid.reports]
         assert got == want
+
+
+class TestOnePathProperties:
+    @given(case=sweep_corpora(), mode=st.sampled_from(MODES), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_classify_and_evaluate_equal_the_references(self, case, mode, data):
+        records, graph = case
+        text_table = text_score_table(records, _MODEL, _TRIGGERED, PLAIN)
+        cite_table = citation_score_table(records, graph)
+        text_config, cite_config, point = draw_configs(data, text_table, cite_table)
+        inputs = dict(
+            model=_MODEL,
+            text_config=text_config,
+            tokenizer_config=PLAIN,
+            graph=graph,
+            cite_config=cite_config,
+        )
+
+        got = [
+            (a.record_id, a.via_text, a.via_citation)
+            for a in classify_corpus(records, mode=mode, **inputs)
+        ]
+        want = [
+            (r.id, *oracles.assign_reference(r.id, mode, _DBS, text_table, cite_table, point))
+            for r in records
+        ]
+        assert got == want
+
+        reports = evaluate(records, mode=mode, **inputs)
+        assert [r.db for r in reports] == list(_DBS)
+        for r in reports:
+            (want_row,) = oracles.sweep_reference(
+                records, mode, r.db, _DBS, text_table, cite_table, [[v] for v in point], point
+            )
+            assert (r.tp, r.fp, r.fn, r.precision, r.recall, r.params) == want_row
 
 
 class TestEmitGridCsv:
