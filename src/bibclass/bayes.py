@@ -262,6 +262,8 @@ def apply_triggers(
     score: TextScore, tokens: list[str], config: TextClassifierConfig
 ) -> TextScore:
     """Boost the score of any database whose trigger terms appear in ``tokens``."""
+    if not config.triggers:
+        return score
     present = set(tokens)
     per_db = dict(score.per_db_score)
     triggered = dict(score.triggered)

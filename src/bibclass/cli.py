@@ -59,7 +59,7 @@ DEFAULTS = {
     "boost": "0.25",
     "out": "assignments.tsv",
     "grid_out": "grid.csv",
-    "workers": str(os.cpu_count() or 1),
+    "workers": "1",
 }
 
 _PATH_KEYS = (
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
             "grid_out": ("--grid-out", "sweep grid CSV path (default: grid.csv)"),
             "workers": (
                 "--workers",
-                "worker process cap, at most the processor count (default: all processors)",
+                "accepted and ignored: runs are single-process (must be >= 1; default: 1)",
             ),
         }
         for name in flags:
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config_file(path: str) -> dict[str, str]:
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
@@ -321,7 +321,7 @@ def load_triggers(
     can never fire and is rejected outright.
     """
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read triggers file {path}: {exc}") from exc
     triggers: dict[str, set[str]] = {}
@@ -359,7 +359,7 @@ def _load_classification_inputs(merged: dict[str, str | None], command: str, gri
     mode = merged["mode"]
     if mode not in MODES:
         raise UsageError(f"--mode must be one of {', '.join(MODES)}; got '{mode}'")
-    workers = _int_value(merged["workers"], "--workers", minimum=1)
+    _int_value(merged["workers"], "--workers", minimum=1)  # validated, otherwise unused
     nt_values = _int_list(merged["nt"], "--nt", minimum=0)
     st_values = _float_list(merged["st"], "--st", 0.0, 1.0)
     nc_values = _int_list(merged["nc"], "--nc", minimum=1)
@@ -430,7 +430,6 @@ def _load_classification_inputs(merged: dict[str, str | None], command: str, gri
             tokenizer_config=tokenizer_config,
             graph=graph,
             cite_config=cite_config,
-            workers=workers,
         ),
     }
 

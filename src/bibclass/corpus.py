@@ -2,8 +2,9 @@
 
 File formats:
 
-* records: one JSON object per line with keys ``id``, ``title``, ``year``
-  and optional ``abstract``, ``journal``, ``labels``.
+* records: one JSON object per line with keys ``id`` (no tab or line
+  boundary), ``title``, ``year`` and optional ``abstract``, ``journal``,
+  ``labels``.
 * citations: ``citing_id<TAB>cited_id`` edge list; ``#`` comments allowed.
 * memberships: ``record_id<TAB>db1,db2,...`` naming the databases a citing
   paper already belongs to; ``#`` comments allowed.
@@ -72,9 +73,9 @@ class CitationLoadStats:
 
 
 def _read_lines(path: str | Path, what: str) -> Iterator[str]:
-    """The lines of a UTF-8 text file; one that cannot be opened or decoded is a DataError."""
+    """The lines of a UTF-8 text file, less a leading byte-order mark; unreadable is a DataError."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield from fh
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
@@ -118,8 +119,8 @@ def _parse_record_line(line: str) -> BibRecord | None:
     rid = obj.get("id")
     title = obj.get("title")
     year = obj.get("year")
-    if not isinstance(rid, str) or not rid:
-        return None
+    if not isinstance(rid, str) or not rid or "\t" in rid or rid.splitlines() != [rid]:
+        return None  # a tab or line boundary would split the id's row in assignments.tsv
     if not isinstance(title, str) or not title.strip():
         return None
     if not isinstance(year, int) or isinstance(year, bool):
@@ -155,7 +156,7 @@ def load_memberships(path: str | Path) -> dict[str, frozenset[str]]:
     """
     memberships: dict[str, set[str]] = {}
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read membership file {path}: {exc}") from exc
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -264,7 +265,7 @@ def save_model(model: CategoryModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> CategoryModel:
     """Read a model written by :func:`save_model`; round-trips are exact."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read model file {path}: {exc}") from exc
     lines = raw.splitlines()

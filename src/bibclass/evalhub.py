@@ -10,18 +10,17 @@ The combined assignment is the union of the two classifiers' masks, so
 either one can rescue records the other cannot classify.
 :func:`classify_corpus` reads each record's databases off the masks at the
 configs' point; :func:`evaluate` and :func:`sweep` count the union against
-a gold mask at one point or at every point of a grid.
+a gold mask at one point or at every point of a grid.  Everything runs in
+the calling process; their ``workers`` keyword is accepted and ignored.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from bibclass.bayes import (
     CategoryModel,
@@ -35,12 +34,7 @@ from bibclass.corpus import BibRecord, write_text_atomic
 from bibclass.errors import DataError, UsageError
 from bibclass.textpipe import TokenizerConfig, filter_tokens, tokenize
 
-log = logging.getLogger(__name__)
-
 MODES = ("text", "citation", "combined")
-
-# Below this corpus size forking workers costs more than it saves.
-_PARALLEL_THRESHOLD = 512
 
 
 class ParamPoint(NamedTuple):
@@ -107,71 +101,50 @@ class SweepGrid:
 # ---------------------------------------------------------------------------
 
 
-def _score_text_chunk(args) -> list[tuple[str, int, dict[str, float]]]:
-    records, model, text_config, tokenizer_config = args
-    rows = []
-    for record in records:
-        tokens = filter_tokens(tokenize(record_text(record)), tokenizer_config)
-        score = apply_triggers(score_text(model, text_config, tokens), tokens, text_config)
-        rows.append((record.id, len(tokens), score.per_db_score))
-    return rows
-
-
 def text_score_table(
     records: Sequence[BibRecord],
     model: CategoryModel,
     text_config: TextClassifierConfig,
     tokenizer_config: TokenizerConfig,
-    workers: int = 1,
 ) -> dict[str, tuple[int, dict[str, float]]]:
-    """Token count and boosted per-database score for every record.
+    """Token count and boosted per-database score for every record, in record order.
 
     The table depends only on the model and trigger configuration, not on
-    the threshold parameters, so one table serves a whole sweep.  With
-    ``workers`` > 1 records are scored in parallel chunks, one per worker,
-    and at most one worker per processor; the merged result is independent
-    of the worker count.
+    the threshold parameters, so one table serves a whole sweep.
     """
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and len(records) >= _PARALLEL_THRESHOLD:
-        chunk = (len(records) + workers - 1) // workers
-        jobs = [
-            (records[i : i + chunk], model, text_config, tokenizer_config)
-            for i in range(0, len(records), chunk)
-        ]
-        try:
-            with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-                chunks = list(pool.map(_score_text_chunk, jobs))
-        except (OSError, PermissionError) as exc:
-            log.warning("parallel scoring unavailable (%s); falling back to serial", exc)
-            chunks = [_score_text_chunk(job) for job in jobs]
-        rows = [row for part in chunks for row in part]
-    else:
-        rows = _score_text_chunk((records, model, text_config, tokenizer_config))
-    return {rid: (n, scores) for rid, n, scores in rows}
+    table = {}
+    for record in records:
+        tokens = filter_tokens(tokenize(record_text(record)), tokenizer_config)
+        score = apply_triggers(score_text(model, text_config, tokens), tokens, text_config)
+        table[record.id] = (len(tokens), score.per_db_score)
+    return table
 
 
 def citation_score_table(
     records: Sequence[BibRecord], graph: CitationGraph
-) -> dict[str, tuple[int, dict[str, float]]]:
+) -> dict[str, tuple[int, Mapping[str, float]]]:
     """Citer count and per-database citation ratio for every record.
 
     Each citer counts once.  A citer with no database membership counts in
     the total but never in a ratio's numerator; a citer in several
     databases counts toward each of them, so more than one database can
-    reach the threshold.  An uncited record has count 0 and every ratio 0.0.
+    reach the threshold.  Uncited records share one row, count 0 and every
+    ratio 0.0, whose ratios are read-only.
     """
+    uncited = (0, MappingProxyType({db: 0.0 for db in graph.databases}))
     table = {}
     for record in records:
-        citing = graph.citers.get(record.id, frozenset())
+        citing = graph.citers.get(record.id)
+        if not citing:
+            table[record.id] = uncited
+            continue
         total = len(citing)
         hits = {db: 0 for db in graph.databases}
         for c in citing:
             for db in graph.memberships.get(c, frozenset()):
                 if db in hits:
                     hits[db] += 1
-        ratios = {db: (hits[db] / total if total else 0.0) for db in graph.databases}
-        table[record.id] = (total, ratios)
+        table[record.id] = (total, {db: hits[db] / total for db in hits})
     return table
 
 
@@ -183,7 +156,6 @@ def _score_tables(
     tokenizer_config: TokenizerConfig | None,
     graph: CitationGraph | None,
     cite_config: CitationClassifierConfig | None,
-    workers: int,
 ) -> tuple[tuple[str, ...], list | None, list | None]:
     """Check ``mode`` and its inputs, then score the records for the classifiers it uses.
 
@@ -208,7 +180,7 @@ def _score_tables(
         )
     text_rows = cite_rows = None
     if uses_text:
-        table = text_score_table(records, model, text_config, tokenizer_config, workers)
+        table = text_score_table(records, model, text_config, tokenizer_config)
         text_rows = [table[r.id] for r in records]
     if uses_citations:
         table = citation_score_table(records, graph)
@@ -335,7 +307,7 @@ def classify_corpus(
 ) -> list[Assignment]:
     """Assign every record in input order, using the classifiers ``mode`` names."""
     databases, text_rows, cite_rows = _score_tables(
-        records, mode, model, text_config, tokenizer_config, graph, cite_config, workers
+        records, mode, model, text_config, tokenizer_config, graph, cite_config
     )
     p = _base_point(text_config, cite_config)
     n = len(records)
@@ -361,7 +333,7 @@ def evaluate(
     exactly as a one-point :func:`sweep` would count it.
     """
     databases, text_rows, cite_rows = _score_tables(
-        records, mode, model, text_config, tokenizer_config, graph, cite_config, workers
+        records, mode, model, text_config, tokenizer_config, graph, cite_config
     )
     nt, st, nc, rc = _base_point(text_config, cite_config)
     return [
@@ -394,7 +366,7 @@ def sweep(
     O(pairs * n) at most; the points cost O(points) big-int operations.
     """
     databases, text_rows, cite_rows = _score_tables(
-        records, mode, model, text_config, tokenizer_config, graph, cite_config, workers
+        records, mode, model, text_config, tokenizer_config, graph, cite_config
     )
     if db not in databases:
         raise DataError(f"database '{db}' is not in the configured set {list(databases)}")

@@ -23,7 +23,7 @@ from bibclass.errors import DataError
 
 # A word is a run of ASCII letters/digits; hyphenated compounds are matched
 # as a unit so both the joined form and the parts can be emitted.
-_WORD_RE = re.compile(r"[a-z0-9]+(?:-[a-z0-9]+)+|[a-z0-9]+")
+_WORD_RE = re.compile(r"[a-z0-9]+(?:-[a-z0-9]+)*")
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,7 @@ def tokenize(text: str) -> list[str]:
     """
     folded = normalize("NFKD", text).encode("ascii", "ignore").decode("ascii").lower()
     tokens: list[str] = []
-    for match in _WORD_RE.finditer(folded):
-        word = match.group()
+    for word in _WORD_RE.findall(folded):
         if "-" in word:
             tokens.append(word.replace("-", ""))
             tokens.extend(word.split("-"))
@@ -122,7 +121,7 @@ def _drop_phrases(
 def load_term_list(path: str | Path) -> list[str]:
     """Read one term (or phrase) per line; blank lines and # comments ignored."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read term list {path}: {exc}") from exc
     terms = []

@@ -6,11 +6,34 @@ citation counts are re-derived from the raw edge list, and precision and
 recall come from plain counting loops, and stop phrases are matched by
 trying every phrase at every position rather than through an index.
 Sweeps assign every record afresh at every grid point instead of
-combining per-threshold bitmasks.
+combining per-threshold bitmasks.  The tokenizer reference folds every
+text through NFKD and matches compounds and plain words by alternation.
 """
 
+import re
 from collections import Counter
 from itertools import product
+from unicodedata import normalize
+
+_WORD_RE = re.compile(r"[a-z0-9]+(?:-[a-z0-9]+)+|[a-z0-9]+")
+
+
+def tokenize_reference(text):
+    """Split text into lowercase ASCII tokens, preserving order.
+
+    Hyphenated compounds contribute the joined form followed by the parts,
+    so "X-ray" yields ["xray", "x", "ray"].
+    """
+    folded = normalize("NFKD", text).encode("ascii", "ignore").decode("ascii").lower()
+    tokens = []
+    for match in _WORD_RE.finditer(folded):
+        word = match.group()
+        if "-" in word:
+            tokens.append(word.replace("-", ""))
+            tokens.extend(word.split("-"))
+        else:
+            tokens.append(word)
+    return tokens
 
 
 def drop_phrases_linear(tokens, stop_phrases):

@@ -266,6 +266,11 @@ class TestTriggers:
         base = score_text(toy_model(), config, ["galaxy"])
         assert apply_triggers(base, ["galaxy"], config) == base
 
+    def test_no_triggers_returns_an_equal_score(self):
+        config = TextClassifierConfig()
+        base = score_text(toy_model(), config, ["galaxy", "supernova"])
+        assert apply_triggers(base, ["galaxy", "supernova"], config) == base
+
     def test_boost_caps_at_one(self):
         config = TextClassifierConfig(
             triggers={"astro": frozenset({"galaxy"})}, trigger_boost=1.0

@@ -43,9 +43,20 @@ class TestCitationScoreTable:
         }
 
     def test_uncited_record_has_no_ratio(self):
-        assert citation_score_table([rec("ghost")], graph()) == {
-            "ghost": (0, {"astro": 0.0, "phys": 0.0})
+        g = graph()
+        g.citers["empty"] = frozenset()
+        records = [rec("ghost"), rec("r1"), rec("empty")]
+        assert citation_score_table(records, g) == {
+            "ghost": (0, {"astro": 0.0, "phys": 0.0}),
+            "r1": (4, {"astro": 0.5, "phys": 0.5}),
+            "empty": (0, {"astro": 0.0, "phys": 0.0}),
         }
+
+    def test_uncited_rows_are_shared_and_read_only(self):
+        table = citation_score_table([rec("ghost"), rec("lost")], graph())
+        assert table["ghost"] is table["lost"]
+        with pytest.raises(TypeError):
+            table["ghost"][1]["astro"] = 1.0
 
     def test_empty_membership_citers_dilute(self):
         # c4 has no memberships: it grows the denominator only.

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from bibclass import cli
+from bibclass.corpus import save_model
 from bibclass.errors import DataError
 from bibclass.evalhub import Assignment
 from bibclass.textpipe import TokenizerConfig
@@ -491,6 +492,93 @@ class TestInputEncoding:
         (clean_stdout, clean_out), (dirty_stdout, dirty_out) = runs
         assert dirty_out == clean_out
         assert dirty_stdout == clean_stdout.replace("(0 skipped)", "(1 skipped)")
+
+    def test_ids_with_a_tab_or_line_boundary_are_skipped(self, workspace, capsys):
+        model = build(workspace)
+        clean = workspace / "test.jsonl"
+        dirty = workspace / "dirty.jsonl"
+        bad = [
+            {"id": rid, "title": "quasar galaxy star", "year": 1997, "labels": []}
+            for rid in ("a\tb", "c\nd", "e\u2028f", "g\x85h")
+        ]
+        dirty.write_text(
+            clean.read_text(encoding="utf-8") + "".join(json.dumps(r) + "\n" for r in bad),
+            encoding="utf-8",
+        )
+        out = workspace / "out.tsv"
+        runs = []
+        for records in (clean, dirty):
+            capsys.readouterr()
+            argv = ["classify", "--records", str(records), "--model", str(model), "--mode", "text"]
+            assert cli.run([*argv, "--out", str(out)]) == 0
+            runs.append((capsys.readouterr().out, out.read_text(encoding="utf-8")))
+        (clean_stdout, clean_out), (dirty_stdout, dirty_out) = runs
+        assert dirty_out == clean_out
+        assert all(line.count("\t") == 3 for line in dirty_out.splitlines())
+        assert dirty_stdout == clean_stdout.replace("(0 skipped)", "(4 skipped)")
+
+    @pytest.mark.parametrize(
+        "reader,name,text",
+        [
+            ("records", "test.jsonl", None),
+            ("citations", "citations.tsv", None),
+            ("memberships", "memberships.tsv", None),
+            ("model", "model.txt", None),
+            # r1 has exactly five words, so dropping "quasar" puts it under N_t.
+            ("stopwords", "stop.txt", "quasar\n"),
+            ("triggers", "triggers.tsv", "phys\tgalaxy\n"),
+            ("config", "config.txt", "nc = 1\n"),
+        ],
+    )
+    def test_byte_order_mark_is_ignored(self, workspace, monkeypatch, capsys, reader, name, text):
+        model = build(workspace)
+        plain = workspace / name
+        if text is not None:
+            plain.write_text(text, encoding="utf-8")
+        marked = workspace / ("bom-" + name)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        out = workspace / "out.tsv"
+        runs = []
+        for path in (plain, marked):
+            argv = [
+                "classify",
+                "--records",
+                str(workspace / "test.jsonl"),
+                "--model",
+                str(model),
+                "--citations",
+                str(workspace / "citations.tsv"),
+                "--memberships",
+                str(workspace / "memberships.tsv"),
+                "--out",
+                str(out),
+            ]
+            if reader == "config":
+                monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(path))
+            else:
+                argv += [f"--{reader}", str(path)]  # the last of a repeated flag wins
+            out.unlink(missing_ok=True)
+            capsys.readouterr()
+            assert cli.run(argv) == 0
+            runs.append((capsys.readouterr().out, out.read_bytes()))
+        assert runs[1] == runs[0]
+
+
+class TestWorkers:
+    def test_worker_count_never_changes_output(self, bench, bench_model, tmp_path):
+        model = tmp_path / "model.txt"
+        save_model(bench_model, model)
+        paths = bench["paths"]
+        argv = ["classify", "--records", str(paths["test"]), "--model", str(model)]
+        argv += ["--citations", str(paths["citations"]), "--memberships", str(paths["memberships"])]
+        outputs = []
+        for workers in ("1", "64"):
+            out = tmp_path / f"out{workers}.tsv"
+            assert cli.run([*argv, "--workers", workers, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert cli.run([*argv, "--workers", "0", "--out", str(tmp_path / "out0.tsv")]) == 1
+        assert not (tmp_path / "out0.tsv").exists()
 
 
 class TestTriggers:

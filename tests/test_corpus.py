@@ -67,6 +67,14 @@ class TestLoadRecords:
             json.dumps({"id": "x", "title": "t", "abstract": "\udfff", "year": 1, "labels": []}),
             json.dumps({"id": "x", "title": "t", "journal": "j\ud800", "year": 1, "labels": []}),
             json.dumps({"id": "x", "title": "t", "year": 1, "labels": ["astro\ud800"]}),
+            # A tab or line boundary in an id would split its output row.
+            json.dumps({"id": "a\tb", "title": "t", "year": 1, "labels": []}),
+            json.dumps({"id": "c\nd", "title": "t", "year": 1, "labels": []}),
+            json.dumps({"id": "e\rf", "title": "t", "year": 1, "labels": []}),
+            json.dumps({"id": "g\u2028h", "title": "t", "year": 1, "labels": []}),
+            json.dumps({"id": "i\x85j", "title": "t", "year": 1, "labels": []}),
+            json.dumps({"id": "k\x0bl", "title": "t", "year": 1, "labels": []}),
+            json.dumps({"id": "m\x1cn", "title": "t", "year": 1, "labels": []}),
         ],
     )
     def test_malformed_lines_are_skipped_and_counted(self, tmp_path, line):

@@ -1,8 +1,6 @@
-import contextlib
 import os
 import random
 import re
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,6 @@ from hypothesis import strategies as st
 
 import oracles
 import synth
-from bibclass import evalhub
 from bibclass.bayes import (
     TextClassifierConfig,
     apply_triggers,
@@ -236,59 +233,6 @@ class TestClassifyCorpus:
         grids = SweepGrids((1,), (0.5,), (1,), (0.5,))
         with pytest.raises(UsageError, match=names_both):
             sweep(records, grids, mode="combined", db="physics", **inputs)
-
-    def test_parallel_matches_serial(self, setup, monkeypatch):
-        records, model, graph, text_config, cite_config = setup
-        serial = classify_corpus(
-            records,
-            mode="combined",
-            model=model,
-            text_config=text_config,
-            tokenizer_config=PLAIN,
-            graph=graph,
-            cite_config=cite_config,
-            workers=1,
-        )
-        monkeypatch.setattr("bibclass.evalhub._PARALLEL_THRESHOLD", 1)
-        parallel = classify_corpus(
-            records,
-            mode="combined",
-            model=model,
-            text_config=text_config,
-            tokenizer_config=PLAIN,
-            graph=graph,
-            cite_config=cite_config,
-            workers=3,
-        )
-        assert parallel == serial
-
-
-class TestWorkerCap:
-    @pytest.mark.parametrize(
-        "cpus,workers,n_records,expected",
-        [
-            (2, 10**6, 600, 2),  # capped at the processor count
-            (None, 8, 600, None),  # unknown processor count: serial, no pool
-            (8, 3, 600, 3),  # below the cap the request stands
-            (600, 512, 513, 257),  # capped at the number of chunks (513 / 2-record chunks)
-            (8, 8, 100, None),  # small corpora stay serial
-        ],
-    )
-    def test_pool_size_is_bounded(self, setup, monkeypatch, cpus, workers, n_records, expected):
-        _, model, _, text_config, _ = setup
-        requested = []
-
-        def in_process_pool(max_workers):
-            # Records the pool size and runs the jobs here; forks nothing.
-            requested.append(max_workers)
-            return contextlib.nullcontext(SimpleNamespace(map=map))
-
-        monkeypatch.setattr(evalhub, "ProcessPoolExecutor", in_process_pool)
-        monkeypatch.setattr(evalhub.os, "cpu_count", lambda: cpus)
-        records = [record(f"r{i}", "galaxy quasar star lattice phonon") for i in range(n_records)]
-        got = text_score_table(records, model, text_config, PLAIN, workers=workers)
-        assert requested == ([] if expected is None else [expected])
-        assert got == text_score_table(records, model, text_config, PLAIN, workers=1)
 
 
 def cited_by_astro(records, cited_ids):

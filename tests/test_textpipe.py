@@ -1,7 +1,7 @@
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -12,6 +12,18 @@ from bibclass.textpipe import (
     filter_tokens,
     load_term_list,
     tokenize,
+)
+
+
+# Hyphens and dashes; combining marks and characters NFKD folds, expands or
+# drops; underscore, ASCII control and whitespace; characters outside the BMP.
+_TRICKY = ["-", "--", "\u2013", "\u0301", "\u0308", "\u00e9", "\ufb01", "\u00df", "\u0130"]
+_TRICKY += ["\u212a", "_", "\x00", "\x1f", "\x7f", "\t", "\n", "\r", " ", "\u00a0"]
+_TRICKY += ["\U0001d400", "\U0001f600"]
+_TEXT_PIECES = st.one_of(
+    st.sampled_from(_TRICKY),
+    st.text(alphabet="abzXYZ0189", min_size=1, max_size=4),
+    st.characters(),
 )
 
 
@@ -38,6 +50,14 @@ class TestTokenize:
     def test_empty_and_whitespace(self):
         assert tokenize("") == []
         assert tokenize("   \t\n ") == []
+
+    @given(st.lists(_TEXT_PIECES, max_size=40).map("".join))
+    @example("-x-ray-")
+    @example("a--b x-ray\u2013burst -")
+    @example("E\u0301-\u212a \ufb01-\u00df-\u0130")
+    @settings(max_examples=500, deadline=None)
+    def test_matches_reference_tokenizer(self, text):
+        assert tokenize(text) == oracles.tokenize_reference(text)
 
 
 class TestFilterTokens:
@@ -103,7 +123,7 @@ class TestFilterTokens:
         assert "phrase_index" not in repr(a)
 
     def test_pickle_round_trip_filters_identically(self):
-        # Worker processes receive the config pickled.
+        # A config sent to another process arrives pickled.
         config = default_tokenizer_config()
         clone = pickle.loads(pickle.dumps(config))
         assert clone == config
