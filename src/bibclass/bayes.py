@@ -8,9 +8,10 @@ probability distribution over the databases.  Database-specific trigger
 keywords can add a post-hoc boost to individual scores.
 
 The smoothed log probabilities are computed once, when a model is built or
-loaded: :class:`CategoryModel` keeps a per-database table of
-``log(term_probability)`` for every seen term plus one value for unseen
-terms, so scoring a document is a sum of table lookups.
+loaded: :class:`CategoryModel` keeps one row per seen term, the term's
+``log(term_probability)`` in every database, plus one row for unseen terms
+and the log priors.  Scoring a document looks each token up once and sums
+the rows' columns in token order.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from bibclass.errors import DataError
 from bibclass.textpipe import TokenizerConfig, filter_tokens, tokenize
@@ -37,11 +38,13 @@ class CategoryModel:
 
     ``term_counts`` maps database -> term -> occurrence count; only
     positive counts are stored.  ``vocabulary_size`` is derived: the number
-    of distinct terms seen in any database.  So are ``log_term_probs``
-    (database -> term -> log of :func:`term_probability`) and
-    ``log_unseen_probs`` (database -> that log for a term the database never
-    saw); both are empty for an empty vocabulary.  Instances are treated as
-    immutable once built.
+    of distinct terms seen in any database.  So are ``term_rows`` (term ->
+    the log of its :func:`term_probability` in each database, in
+    ``databases`` order), ``unseen_row`` (that row for a term no database
+    saw) and ``log_priors`` (the log of each database's share of the
+    documents, ``-inf`` for a database without any).  The rows are empty for
+    an empty vocabulary, and the priors for a model without documents.
+    Instances are treated as immutable once built.
     """
 
     databases: tuple[str, ...]
@@ -50,12 +53,11 @@ class CategoryModel:
     doc_counts: dict[str, int]
     smoothing_alpha: float = 1.0
     vocabulary_size: int = field(init=False, default=0)
-    log_term_probs: dict[str, dict[str, float]] = field(
+    term_rows: dict[str, tuple[float, ...]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    log_unseen_probs: dict[str, float] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    unseen_row: tuple[float, ...] = field(init=False, repr=False, compare=False, default=())
+    log_priors: tuple[float, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         alpha = self.smoothing_alpha
@@ -80,12 +82,18 @@ class CategoryModel:
                 raise ValueError(f"negative totals for database '{db}'")
             if sum(counts.values()) != self.total_tokens[db]:
                 raise ValueError(f"total_tokens['{db}'] does not match its term counts")
+        total_docs = self.total_docs
+        if total_docs:
+            priors = [self.doc_counts[db] / total_docs for db in self.databases]
+            self.log_priors = tuple(math.log(p) if p else -math.inf for p in priors)
         vocab: set[str] = set()
         for db in self.databases:
             vocab.update(self.term_counts[db])
         self.vocabulary_size = len(vocab)
         if not vocab:
             return
+        terms = list(vocab)
+        columns, unseen_logs = [], []
         for db in self.databases:
             # The same expression term_probability evaluates, so the logs match it exactly.
             denominator = self.total_tokens[db] + alpha * self.vocabulary_size
@@ -94,10 +102,11 @@ class CategoryModel:
                 raise ValueError(
                     f"smoothing_alpha {alpha!r} underflows the probability of an unseen term"
                 )
-            self.log_unseen_probs[db] = math.log(unseen)
-            self.log_term_probs[db] = {
-                t: math.log((c + alpha) / denominator) for t, c in self.term_counts[db].items()
-            }
+            unseen_logs.append(math.log(unseen))
+            counts = self.term_counts[db]
+            columns.append([math.log((counts.get(t, 0) + alpha) / denominator) for t in terms])
+        self.unseen_row = tuple(unseen_logs)
+        self.term_rows = dict(zip(terms, zip(*columns)))
 
     @property
     def total_docs(self) -> int:
@@ -223,33 +232,34 @@ def score_text(model: CategoryModel, config: TextClassifierConfig, tokens: list[
     do not depend on document length.  With no tokens the scores reduce to
     the prior distribution.
     """
-    total_docs = model.total_docs
-    if total_docs == 0:
-        raise ValueError("model has no training documents")
     n = len(tokens)
-    if n and model.vocabulary_size == 0:
-        raise ValueError("model has an empty vocabulary")
-    log_likes = []
-    for db in model.databases:
-        prior = model.doc_counts[db] / total_docs
-        if prior == 0.0:
-            log_likes.append(float("-inf"))
-            continue
-        ll = math.log(prior)
-        if n:
-            table, unseen = model.log_term_probs[db], model.log_unseen_probs[db]
-            ll += sum(map(table.get, tokens, repeat(unseen))) / n
-        log_likes.append(ll)
-    scores = _softmax(log_likes)
     return TextScore(
-        per_db_score=dict(zip(model.databases, scores)),
+        per_db_score=dict(zip(model.databases, _posterior(model, tokens))),
         token_count=n,
         classifiable=n >= config.min_words,
         triggered={db: False for db in model.databases},
     )
 
 
-def _softmax(values: list[float]) -> list[float]:
+def _posterior(model: CategoryModel, tokens: list[str]) -> list[float]:
+    """The scores of :func:`score_text`, in ``model.databases`` order.
+
+    Each token is looked up once, for its row of per-database log
+    probabilities; each database's column is summed in token order.
+    """
+    log_likes = model.log_priors
+    if not log_likes:
+        raise ValueError("model has no training documents")
+    n = len(tokens)
+    if n:
+        if not model.term_rows:
+            raise ValueError("model has an empty vocabulary")
+        rows = map(model.term_rows.get, tokens, repeat(model.unseen_row))
+        log_likes = [prior + total / n for prior, total in zip(log_likes, map(sum, zip(*rows)))]
+    return _softmax(log_likes)
+
+
+def _softmax(values: Sequence[float]) -> list[float]:
     top = max(values)
     if top == float("-inf"):
         raise ValueError("all scores are -inf; no database has a nonzero prior")
@@ -264,13 +274,10 @@ def apply_triggers(
     """Boost the score of any database whose trigger terms appear in ``tokens``."""
     if not config.triggers:
         return score
-    present = set(tokens)
     per_db = dict(score.per_db_score)
     triggered = dict(score.triggered)
-    for db, terms in config.triggers.items():
-        if db in per_db and terms & present:
-            per_db[db] = min(1.0, per_db[db] + config.trigger_boost)
-            triggered[db] = True
+    for db in _boost(per_db, tokens, config):
+        triggered[db] = True
     return TextScore(
         per_db_score=per_db,
         token_count=score.token_count,
@@ -278,3 +285,28 @@ def apply_triggers(
         triggered=triggered,
     )
 
+
+def boosted_scores(
+    model: CategoryModel, config: TextClassifierConfig, tokens: list[str]
+) -> dict[str, float]:
+    """``apply_triggers(score_text(model, config, tokens), tokens, config).per_db_score``.
+
+    The same scores through the same helpers, without building the two
+    :class:`TextScore` objects.
+    """
+    scores = dict(zip(model.databases, _posterior(model, tokens)))
+    _boost(scores, tokens, config)
+    return scores
+
+
+def _boost(
+    per_db: dict[str, float], tokens: list[str], config: TextClassifierConfig
+) -> list[str]:
+    """Add the trigger boost, capped at 1, to ``per_db`` in place; return the boosted databases."""
+    if not config.triggers:
+        return []
+    present = set(tokens)
+    hits = [db for db, terms in config.triggers.items() if db in per_db and terms & present]
+    for db in hits:
+        per_db[db] = min(1.0, per_db[db] + config.trigger_boost)
+    return hits

@@ -263,7 +263,12 @@ def save_model(model: CategoryModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> CategoryModel:
-    """Read a model written by :func:`save_model`; round-trips are exact."""
+    """Read a model written by :func:`save_model`; round-trips are exact.
+
+    A model without training documents or without terms, neither of which
+    :func:`~bibclass.bayes.build_model` produces, cannot score a record and
+    is rejected as corrupt.
+    """
     try:
         raw = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
@@ -308,12 +313,17 @@ def load_model(path: str | Path) -> CategoryModel:
     if alpha is None:
         raise DataError(f"corrupt model file at {path}: missing alpha line")
     try:
-        return CategoryModel(
+        model = CategoryModel(
             databases=tuple(databases),
             term_counts=term_counts,
             total_tokens=total_tokens,
             doc_counts=doc_counts,
             smoothing_alpha=alpha,
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise DataError(f"corrupt model file {path}: {exc}") from exc
+    if model.total_docs == 0:
+        raise DataError(f"corrupt model file {path}: no training documents")
+    if model.vocabulary_size == 0:
+        raise DataError(f"corrupt model file {path}: empty vocabulary")
+    return model

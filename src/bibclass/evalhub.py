@@ -2,10 +2,13 @@
 
 Every record is scored once per classifier: its filtered token count and
 per-database text score (:func:`text_score_table`), its citer count and
-per-database citation ratio (:func:`citation_score_table`).  A decision
-point then turns each classifier's rows into bitmasks over the records
-(one Python int, bit ``i`` for ``records[i]``) through one rule, count at
-least the gate and value at least the threshold (:func:`_pair_masks`).
+per-database citation ratio (:func:`citation_score_table`).  Text scores
+come from :func:`~bibclass.bayes.boosted_scores`, ``score_text``'s scores
+with ``apply_triggers``' boost, without a score object per record.  A
+decision point then turns each classifier's rows into bitmasks over the
+records (one Python int, bit ``i`` for ``records[i]``) through one rule,
+count at least the gate and value at least the threshold
+(:func:`_pair_masks`).
 The combined assignment is the union of the two classifiers' masks, so
 either one can rescue records the other cannot classify.
 :func:`classify_corpus` reads each record's databases off the masks at the
@@ -25,9 +28,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from bibclass.bayes import (
     CategoryModel,
     TextClassifierConfig,
-    apply_triggers,
+    boosted_scores,
     record_text,
-    score_text,
 )
 from bibclass.citegraph import CitationClassifierConfig, CitationGraph
 from bibclass.corpus import BibRecord, write_text_atomic
@@ -115,8 +117,7 @@ def text_score_table(
     table = {}
     for record in records:
         tokens = filter_tokens(tokenize(record_text(record)), tokenizer_config)
-        score = apply_triggers(score_text(model, text_config, tokens), tokens, text_config)
-        table[record.id] = (len(tokens), score.per_db_score)
+        table[record.id] = (len(tokens), boosted_scores(model, text_config, tokens))
     return table
 
 

@@ -6,14 +6,19 @@ hyphenated compounds into the joined form plus their parts.  What matters
 for classification is that model building and scoring see the exact same
 tokens, so the behaviour is pinned down by the test suite.
 
+The per-character work runs in C: after the NFKD fold one byte table
+lowercases the text and blanks every byte that cannot be part of a word,
+and ``split`` cuts the words out.  The Python loop over the words does
+more than append only for a word holding a hyphen, to expand the compound.
+
 Stop-phrase matching is compiled once per :class:`TokenizerConfig`: its
 constructor indexes the phrases by their first token, so filtering a
-record only tries the phrases that can start at each position.
+record only tries the phrases that can start at each position, and a
+record with no phrase's first token skips phrase matching altogether.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -21,9 +26,12 @@ from unicodedata import normalize
 
 from bibclass.errors import DataError
 
-# A word is a run of ASCII letters/digits; hyphenated compounds are matched
-# as a unit so both the joined form and the parts can be emitted.
-_WORD_RE = re.compile(r"[a-z0-9]+(?:-[a-z0-9]+)*")
+# A translate table that lowercases ASCII letters and turns every other byte
+# outside [a-z0-9-] into a space, so splitting on whitespace leaves the words.
+_WORD_CHARS = b"abcdefghijklmnopqrstuvwxyz0123456789-"
+_WORD_BYTES = bytes(
+    b + 32 if 65 <= b <= 90 else b if b in _WORD_CHARS else 32 for b in range(256)
+)
 
 
 @dataclass(frozen=True)
@@ -64,16 +72,24 @@ class TokenizerConfig:
 def tokenize(text: str) -> list[str]:
     """Split text into lowercase ASCII tokens, preserving order.
 
-    Hyphenated compounds contribute the joined form followed by the parts,
-    so "X-ray" yields ["xray", "x", "ray"].
+    A word is a run of ASCII letters and digits; words joined by single
+    hyphens form a compound, which contributes the joined form followed by
+    the parts, so "X-ray" yields ["xray", "x", "ray"].  Any other character,
+    a run of two or more hyphens included, separates words.
     """
-    folded = normalize("NFKD", text).encode("ascii", "ignore").decode("ascii").lower()
+    folded = normalize("NFKD", text).encode("ascii", "ignore").translate(_WORD_BYTES)
     tokens: list[str] = []
-    for word in _WORD_RE.findall(folded):
+    # With double hyphens gone, a chunk's hyphens are single: a compound's
+    # joints, or strays at either end.
+    for chunk in folded.replace(b"--", b" ").decode("ascii").split():
+        if "-" not in chunk:
+            tokens.append(chunk)
+            continue
+        word = chunk.strip("-")
         if "-" in word:
             tokens.append(word.replace("-", ""))
             tokens.extend(word.split("-"))
-        else:
+        elif word:
             tokens.append(word)
     return tokens
 
@@ -83,17 +99,19 @@ def filter_tokens(tokens: list[str], config: TokenizerConfig) -> list[str]:
 
     Phrase removal runs before and after the per-token filters: removing a
     token can make a phrase contiguous, and rescanning keeps the result
-    stable under repeated application.
+    stable under repeated application.  Dropping tokens never brings in a
+    phrase's first token, so a stream holding none skips both phrase passes.
     """
     index = config.phrase_index
     stop_words = config.stop_words
     min_length = config.min_token_length
+    phrased = not index.keys().isdisjoint(tokens)
     kept = [
         t
-        for t in _drop_phrases(tokens, index)
+        for t in (_drop_phrases(tokens, index) if phrased else tokens)
         if not t.isdigit() and t not in stop_words and len(t) >= min_length
     ]
-    return _drop_phrases(kept, index)
+    return _drop_phrases(kept, index) if phrased else kept
 
 
 def _drop_phrases(

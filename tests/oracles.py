@@ -4,12 +4,16 @@ Nothing here imports from bibclass, and the computational routes differ on
 purpose: probabilities are multiplied directly instead of summing logs,
 citation counts are re-derived from the raw edge list, and precision and
 recall come from plain counting loops, and stop phrases are matched by
-trying every phrase at every position rather than through an index.
+trying every phrase at every position rather than through an index.  The
+exact text-score reference sums logs like the library, so that its floats
+can be compared with ``==``, but recomputes every token's smoothed
+frequency from the model's raw counts instead of reading precomputed rows.
 Sweeps assign every record afresh at every grid point instead of
 combining per-threshold bitmasks.  The tokenizer reference folds every
 text through NFKD and matches compounds and plain words by alternation.
 """
 
+import math
 import re
 from collections import Counter
 from itertools import product
@@ -74,6 +78,62 @@ def filter_tokens_reference(tokens, stop_words, stop_phrases, min_token_length=1
         if not t.isdigit() and t not in stop_words and len(t) >= min_token_length
     ]
     return drop_phrases_linear(kept, stop_phrases)
+
+
+def text_scores_reference(model, tokens):
+    """Naive Bayes scores of a filtered token stream, from the model's raw counts.
+
+    Each token's smoothed frequency in each database is computed afresh and
+    its log summed in token order; the vocabulary is re-derived from the
+    counts.  Raises ValueError as scoring does for a model without
+    documents, or without terms when there are tokens to score.
+    """
+    databases = model.databases
+    total_docs = sum(model.doc_counts[db] for db in databases)
+    if total_docs == 0:
+        raise ValueError("model has no training documents")
+    vocab = {t for db in databases for t, c in model.term_counts[db].items() if c}
+    n = len(tokens)
+    if n and not vocab:
+        raise ValueError("model has an empty vocabulary")
+    alpha = model.smoothing_alpha
+    log_likes = []
+    for db in databases:
+        prior = model.doc_counts[db] / total_docs
+        if prior == 0.0:
+            log_likes.append(float("-inf"))
+            continue
+        ll = math.log(prior)
+        if n:
+            denominator = model.total_tokens[db] + alpha * len(vocab)
+            counts = model.term_counts[db]
+            ll += sum(math.log((counts.get(t, 0) + alpha) / denominator) for t in tokens) / n
+        log_likes.append(ll)
+    top = max(log_likes)
+    exps = [math.exp(v - top) for v in log_likes]
+    total = sum(exps)
+    return {db: e / total for db, e in zip(databases, exps)}
+
+
+def text_table_reference(records, model, triggers, boost, stop_words, stop_phrases, min_length):
+    """Token count and boosted scores per record id, through the references only.
+
+    Tokens come from :func:`tokenize_reference` and
+    :func:`filter_tokens_reference`; a database whose trigger terms appear
+    among them gains ``boost``, capped at 1.
+    """
+    table = {}
+    for r in records:
+        text = r.title + " " + (r.abstract or "")
+        tokens = filter_tokens_reference(
+            tokenize_reference(text), stop_words, stop_phrases, min_length
+        )
+        scores = text_scores_reference(model, tokens)
+        for db, terms in triggers.items():
+            if db in scores and set(terms) & set(tokens):
+                scores[db] = min(1.0, scores[db] + boost)
+        table[r.id] = (len(tokens), scores)
+    return table
 
 
 def nb_stats(train, databases):

@@ -11,6 +11,7 @@ from bibclass.bayes import (
     CategoryModel,
     TextClassifierConfig,
     apply_triggers,
+    boosted_scores,
     build_model,
     record_text,
     score_text,
@@ -113,10 +114,36 @@ class TestLogTables:
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 2.5, 1e-3])
     def test_tables_equal_log_of_term_probability(self, alpha):
         model = toy_model(alpha)
-        for db in model.databases:
-            for term in ("galaxy", "star", "quasar", "quantum", "lattice", "neutrino"):
-                got = model.log_term_probs[db].get(term, model.log_unseen_probs[db])
-                assert got == math.log(term_probability(model, term, db))
+        assert set(model.term_rows) == {"galaxy", "star", "quasar", "quantum", "lattice"}
+        for term in ("galaxy", "star", "quasar", "quantum", "lattice", "neutrino"):
+            row = model.term_rows.get(term, model.unseen_row)
+            assert row == tuple(
+                math.log(term_probability(model, term, db)) for db in model.databases
+            )
+        assert model.log_priors == (math.log(2 / 3), math.log(1 / 3))
+
+    def test_zero_document_database_has_a_minus_infinite_prior(self):
+        model = CategoryModel(
+            databases=("astro", "empty"),
+            term_counts={"astro": {"galaxy": 2}},
+            total_tokens={"astro": 2},
+            doc_counts={"astro": 1},
+        )
+        assert model.log_priors == (0.0, -math.inf)
+
+    def test_degenerate_models_have_empty_tables(self):
+        no_docs = CategoryModel(
+            databases=("astro",),
+            term_counts={"astro": {"galaxy": 1}},
+            total_tokens={"astro": 1},
+            doc_counts={"astro": 0},
+        )
+        assert no_docs.log_priors == () and no_docs.term_rows
+        no_terms = CategoryModel(
+            databases=("astro",), term_counts={}, total_tokens={}, doc_counts={"astro": 3}
+        )
+        assert no_terms.term_rows == {} and no_terms.unseen_row == ()
+        assert no_terms.log_priors == (0.0,)
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_non_finite_or_non_positive_alpha_rejected(self, alpha):
@@ -287,6 +314,20 @@ class TestTriggers:
     def test_uppercase_trigger_rejected(self):
         with pytest.raises(ValueError):
             TextClassifierConfig(triggers={"astro": frozenset({"Supernova"})})
+
+    @pytest.mark.parametrize(
+        "triggers",
+        [
+            {},
+            {"astro": frozenset({"supernova"})},
+            {"astro": frozenset({"galaxy"}), "nope": frozenset({"galaxy"})},
+        ],
+    )
+    @pytest.mark.parametrize("tokens", [[], ["galaxy"], ["galaxy", "supernova", "quasar"]])
+    def test_boosted_scores_equal_the_score_object_route(self, triggers, tokens):
+        config = TextClassifierConfig(triggers=triggers, trigger_boost=0.5)
+        expected = apply_triggers(score_text(toy_model(), config, tokens), tokens, config)
+        assert boosted_scores(toy_model(), config, tokens) == expected.per_db_score
 
 
 def classify_text(model, config, tokenizer_config, rec):

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -367,6 +368,54 @@ class TestSweep:
         )
         assert rc == 1
         assert "--db" in capsys.readouterr().err
+
+
+# Model files that parse but cannot score a record: documents summing to 0,
+# no database block at all, and documents without any term.
+_DEGENERATE_MODELS = {
+    "no-documents": "db\tastro\t0\t2\nt\tgalaxy\t1\nt\tstar\t1\ndb\tphys\t0\t0\n",
+    "no-databases": "",
+    "no-terms": "db\tastro\t2\t0\ndb\tphys\t1\t0\n",
+    "count-beyond-float": f"db\tastro\t1\t{10**400}\nt\tgalaxy\t{10**400}\n",
+}
+
+
+class TestDegenerateModel:
+    @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("classify", ["--out", "out.tsv"]),
+            ("evaluate", ["--db", "astro"]),
+            ("sweep", ["--db", "astro", "--grid-out", "grid.csv"]),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["text", "combined"])
+    @pytest.mark.parametrize("body", sorted(_DEGENERATE_MODELS))
+    def test_is_a_data_error(self, workspace, monkeypatch, capsys, command, extra, mode, body):
+        monkeypatch.chdir(workspace)
+        header = "bibclass-model v1\nalpha\t1.0\n"
+        Path("model.txt").write_text(header + _DEGENERATE_MODELS[body], encoding="utf-8")
+        rc = cli.run(
+            [
+                command,
+                "--records",
+                "test.jsonl",
+                "--model",
+                "model.txt",
+                "--citations",
+                "citations.tsv",
+                "--memberships",
+                "memberships.tsv",
+                "--mode",
+                mode,
+                *extra,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "corrupt model file" in captured.err
+        assert captured.out == ""
+        assert not Path("out.tsv").exists() and not Path("grid.csv").exists()
 
 
 class TestConfigFile:

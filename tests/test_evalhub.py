@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 import synth
 from bibclass.bayes import (
+    CategoryModel,
     TextClassifierConfig,
     apply_triggers,
     build_model,
@@ -568,6 +569,94 @@ class TestOnePathProperties:
                 records, mode, r.db, _DBS, text_table, cite_table, [[v] for v in point], point
             )
             assert (r.tp, r.fp, r.fn, r.precision, r.recall, r.params) == want_row
+
+
+# Model terms: plain words, folded forms of non-ASCII words, compounds'
+# joined forms and parts, a stop word and an alphanumeric mix.
+_TERMS = ["galaxy", "quasar", "lattice", "naive", "erosion", "film", "xray", "x", "ray"]
+_TERMS += ["signaltonoise", "noise", "the", "ngc4258"]
+_STOP_WORDS = ["the", "of", "x", "to"]
+# "book review" cascades through "book book review review", and a dropped
+# stop word, digit or short token between its words exposes it too.
+_STOP_PHRASES = ["book review", "in brief", "news in brief", "erratum"]
+# Text pieces: mixed case, folded and unseen words, compounds, digit-only
+# tokens, stop words and phrases, and phrases split by something filtered.
+_PIECES = ["Galaxy", "quasar", "LATTICE", "na\u00efve", "\u00c9rosion", "\ufb01lm", "neutrino"]
+_PIECES += ["X-ray", "signal-to-noise", "galaxy-quasar", "-ray-", "42", "1997", "ngc4258"]
+_PIECES += ["the", "of", "x", "ab", "book review", "book book review review", "News in Brief"]
+_PIECES += ["book the review", "book 42 review", "book x review", "in of brief", "erratum"]
+_SEPARATORS = [" ", ", ", "-", "--", ". ", "\t", " \u2014 ", "/"]
+
+
+@st.composite
+def scoring_models(draw):
+    """Random models with 1-3 databases, any of which may have no documents or terms."""
+    databases = tuple(f"db{i}" for i in range(draw(st.integers(1, 3))))
+    term_counts = {
+        db: draw(st.dictionaries(st.sampled_from(_TERMS), st.integers(0, 9), max_size=8))
+        for db in databases
+    }
+    return CategoryModel(
+        databases=databases,
+        term_counts=term_counts,
+        total_tokens={db: sum(term_counts[db].values()) for db in databases},
+        doc_counts={db: draw(st.integers(0, 4)) for db in databases},
+        smoothing_alpha=draw(st.sampled_from([1.0, 0.5, 2.0, 1e-3])),
+    )
+
+
+scoring_texts = st.lists(
+    st.tuples(st.sampled_from(_PIECES), st.sampled_from(_SEPARATORS)).map("".join), max_size=12
+).map("".join)
+
+
+class TestTextScoreTableProperties:
+    @given(
+        model=scoring_models(),
+        texts=st.lists(scoring_texts, max_size=6),
+        stop_words=st.sets(st.sampled_from(_STOP_WORDS)),
+        stop_phrases=st.sets(st.sampled_from(_STOP_PHRASES)),
+        min_length=st.sampled_from([1, 2]),
+        triggered=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_reference_chain(
+        self, model, texts, stop_words, stop_phrases, min_length, triggered, data
+    ):
+        records = [record(f"r{i}", text) for i, text in enumerate(texts)]
+        tokenizer_config = TokenizerConfig(
+            stop_words=frozenset(stop_words),
+            stop_phrases=frozenset(stop_phrases),
+            min_token_length=min_length,
+        )
+        triggers = {}
+        if triggered:
+            triggers = data.draw(
+                st.dictionaries(
+                    st.sampled_from(model.databases),
+                    st.frozensets(st.sampled_from(["galaxy", "xray", "naive", "ray"]), min_size=1),
+                    min_size=1,
+                )
+            )
+        text_config = TextClassifierConfig(
+            triggers=triggers, trigger_boost=data.draw(st.sampled_from([0.0, 0.25, 1.0]))
+        )
+        try:
+            want = oracles.text_table_reference(
+                records,
+                model,
+                triggers,
+                text_config.trigger_boost,
+                stop_words,
+                stop_phrases,
+                min_length,
+            )
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                text_score_table(records, model, text_config, tokenizer_config)
+            return
+        assert text_score_table(records, model, text_config, tokenizer_config) == want
 
 
 class TestEmitGridCsv:

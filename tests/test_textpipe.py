@@ -20,6 +20,13 @@ from bibclass.textpipe import (
 _TRICKY = ["-", "--", "\u2013", "\u0301", "\u0308", "\u00e9", "\ufb01", "\u00df", "\u0130"]
 _TRICKY += ["\u212a", "_", "\x00", "\x1f", "\x7f", "\t", "\n", "\r", " ", "\u00a0"]
 _TRICKY += ["\U0001d400", "\U0001f600"]
+# Every ASCII code point between word characters, and on either side of a
+# hyphen inside, before and after a compound: the tokenizer maps text byte by
+# byte, so each byte is pinned.
+_ASCII = [chr(c) for c in range(128)]
+_BETWEEN_WORDS = " ".join(f"a{c}b Q{c}9" for c in _ASCII)
+_BY_HYPHENS = " ".join(f"x-{c}y z{c}-w {c}-u v-{c}" for c in _ASCII)
+_IN_COMPOUNDS = " ".join(f"k-m{c}n-p {c}r-s-t{c}" for c in _ASCII)
 _TEXT_PIECES = st.one_of(
     st.sampled_from(_TRICKY),
     st.text(alphabet="abzXYZ0189", min_size=1, max_size=4),
@@ -55,6 +62,10 @@ class TestTokenize:
     @example("-x-ray-")
     @example("a--b x-ray\u2013burst -")
     @example("E\u0301-\u212a \ufb01-\u00df-\u0130")
+    @example(_BETWEEN_WORDS)
+    @example(_BY_HYPHENS)
+    @example(_IN_COMPOUNDS)
+    @example("".join(_ASCII))
     @settings(max_examples=500, deadline=None)
     def test_matches_reference_tokenizer(self, text):
         assert tokenize(text) == oracles.tokenize_reference(text)
