@@ -32,7 +32,7 @@ from bibclass.corpus import (
     save_model,
     write_text_atomic,
 )
-from bibclass.errors import DataError, UsageError
+from bibclass.errors import DataError, UsageError, read_lines
 from bibclass.evalhub import MODES, SweepGrids
 from bibclass.textpipe import (
     TokenizerConfig,
@@ -215,12 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict[str, str]:
-    try:
-        raw = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in read_lines(path, "config file"):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -320,12 +316,8 @@ def load_triggers(
     matches the joined token it produces.  A term the filters would remove
     can never fire and is rejected outright.
     """
-    try:
-        raw = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read triggers file {path}: {exc}") from exc
     triggers: dict[str, set[str]] = {}
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in read_lines(path, "triggers file"):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

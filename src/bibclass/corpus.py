@@ -4,14 +4,15 @@ File formats:
 
 * records: one JSON object per line with keys ``id`` (no tab or line
   boundary), ``title``, ``year`` and optional ``abstract``, ``journal``,
-  ``labels``.
+  ``labels`` (no tab, comma or line boundary).
 * citations: ``citing_id<TAB>cited_id`` edge list; ``#`` comments allowed.
 * memberships: ``record_id<TAB>db1,db2,...`` naming the databases a citing
   paper already belongs to; ``#`` comments allowed.
 * model: versioned text format, header line ``bibclass-model v1``.
 
-Loaded corpora, graphs and models are immutable afterwards and safe to
-read from any number of concurrent workers.
+Every file is read through :func:`~bibclass.errors.read_lines`: UTF-8
+with an optional byte-order mark, lines ending only at ``\n``, ``\r\n``
+or ``\r``.  Loaded corpora, graphs and models are immutable afterwards.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterator, Mapping
 
 from bibclass.bayes import CategoryModel
 from bibclass.citegraph import CitationGraph
-from bibclass.errors import DataError
+from bibclass.errors import DataError, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -72,15 +73,6 @@ class CitationLoadStats:
     unknown_citers: int = 0
 
 
-def _read_lines(path: str | Path, what: str) -> Iterator[str]:
-    """The lines of a UTF-8 text file, less a leading byte-order mark; unreadable is a DataError."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            yield from fh
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {what} {path}: {exc}") from exc
-
-
 def load_records(path: str | Path) -> Corpus:
     """Read a line-delimited records file.
 
@@ -91,7 +83,7 @@ def load_records(path: str | Path) -> Corpus:
     records: list[BibRecord] = []
     seen: set[str] = set()
     skipped = 0
-    for lineno, line in enumerate(_read_lines(path, "records file"), start=1):
+    for lineno, line in read_lines(path, "records file"):
         record = _parse_record_line(line)
         if record is None:
             skipped += 1
@@ -119,7 +111,7 @@ def _parse_record_line(line: str) -> BibRecord | None:
     rid = obj.get("id")
     title = obj.get("title")
     year = obj.get("year")
-    if not isinstance(rid, str) or not rid or "\t" in rid or rid.splitlines() != [rid]:
+    if not _is_cell(rid):
         return None  # a tab or line boundary would split the id's row in assignments.tsv
     if not isinstance(title, str) or not title.strip():
         return None
@@ -132,7 +124,9 @@ def _parse_record_line(line: str) -> BibRecord | None:
         return None
     if journal is not None and not isinstance(journal, str):
         return None
-    if not isinstance(labels, list) or any(not isinstance(x, str) or not x for x in labels):
+    # A label is a cell of the model and assignments files and an item of a
+    # comma-separated memberships column.
+    if not isinstance(labels, list) or not all(_is_cell(x) and "," not in x for x in labels):
         return None
     try:
         "".join((rid, title, abstract or "", journal or "", *labels)).encode("utf-8")
@@ -148,6 +142,11 @@ def _parse_record_line(line: str) -> BibRecord | None:
     )
 
 
+def _is_cell(value: object) -> bool:
+    """True for a nonempty string that holds no tab and no line boundary."""
+    return isinstance(value, str) and "\t" not in value and value.splitlines() == [value]
+
+
 def load_memberships(path: str | Path) -> dict[str, frozenset[str]]:
     """Read the ``record_id<TAB>db1,db2,...`` membership file.
 
@@ -155,15 +154,11 @@ def load_memberships(path: str | Path) -> dict[str, frozenset[str]]:
     empty database column is allowed and records an empty membership.
     """
     memberships: dict[str, set[str]] = {}
-    try:
-        raw = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read membership file {path}: {exc}") from exc
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in read_lines(path, "membership file"):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        parts = line.rstrip("\n").split("\t")
+        parts = line.split("\t")
         if len(parts) != 2 or not parts[0].strip():
             raise DataError(f"malformed membership line at {path}:{lineno}")
         rid = parts[0].strip()
@@ -189,7 +184,7 @@ def load_citations(
     citers: dict[str, set[str]] = {}
     seen_edges: set[tuple[str, str]] = set()
     kept = duplicates = self_citations = unknown = 0
-    for lineno, line in enumerate(_read_lines(path, "citations file"), start=1):
+    for lineno, line in read_lines(path, "citations file"):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -269,14 +264,11 @@ def load_model(path: str | Path) -> CategoryModel:
     :func:`~bibclass.bayes.build_model` produces, cannot score a record and
     is rejected as corrupt.
     """
-    try:
-        raw = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read model file {path}: {exc}") from exc
-    lines = raw.splitlines()
-    if not lines or not lines[0].startswith(_MODEL_HEADER_PREFIX):
+    lines = read_lines(path, "model file")
+    _, header = next(lines, (1, ""))
+    if not header.startswith(_MODEL_HEADER_PREFIX):
         raise DataError(f"corrupt model file at {path}:1: missing header")
-    version = lines[0][len(_MODEL_HEADER_PREFIX) :].strip()
+    version = header[len(_MODEL_HEADER_PREFIX) :].strip()
     if version != MODEL_FORMAT_VERSION:
         raise DataError(
             f"model format version mismatch in {path}: "
@@ -288,7 +280,7 @@ def load_model(path: str | Path) -> CategoryModel:
     total_tokens: dict[str, int] = {}
     doc_counts: dict[str, int] = {}
     current: str | None = None
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         parts = line.split("\t")
         tag = parts[0]
         try:

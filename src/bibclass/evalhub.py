@@ -108,23 +108,23 @@ def text_score_table(
     model: CategoryModel,
     text_config: TextClassifierConfig,
     tokenizer_config: TokenizerConfig,
-) -> dict[str, tuple[int, dict[str, float]]]:
+) -> list[tuple[int, dict[str, float]]]:
     """Token count and boosted per-database score for every record, in record order.
 
     The table depends only on the model and trigger configuration, not on
     the threshold parameters, so one table serves a whole sweep.
     """
-    table = {}
+    table = []
     for record in records:
         tokens = filter_tokens(tokenize(record_text(record)), tokenizer_config)
-        table[record.id] = (len(tokens), boosted_scores(model, text_config, tokens))
+        table.append((len(tokens), boosted_scores(model, text_config, tokens)))
     return table
 
 
 def citation_score_table(
     records: Sequence[BibRecord], graph: CitationGraph
-) -> dict[str, tuple[int, Mapping[str, float]]]:
-    """Citer count and per-database citation ratio for every record.
+) -> list[tuple[int, Mapping[str, float]]]:
+    """Citer count and per-database citation ratio for every record, in record order.
 
     Each citer counts once.  A citer with no database membership counts in
     the total but never in a ratio's numerator; a citer in several
@@ -133,11 +133,11 @@ def citation_score_table(
     ratio 0.0, whose ratios are read-only.
     """
     uncited = (0, MappingProxyType({db: 0.0 for db in graph.databases}))
-    table = {}
+    table = []
     for record in records:
         citing = graph.citers.get(record.id)
         if not citing:
-            table[record.id] = uncited
+            table.append(uncited)
             continue
         total = len(citing)
         hits = {db: 0 for db in graph.databases}
@@ -145,7 +145,7 @@ def citation_score_table(
             for db in graph.memberships.get(c, frozenset()):
                 if db in hits:
                     hits[db] += 1
-        table[record.id] = (total, {db: hits[db] / total for db in hits})
+        table.append((total, {db: hits[db] / total for db in hits}))
     return table
 
 
@@ -160,9 +160,9 @@ def _score_tables(
 ) -> tuple[tuple[str, ...], list | None, list | None]:
     """Check ``mode`` and its inputs, then score the records for the classifiers it uses.
 
-    Returns ``(databases, text_rows, cite_rows)``: the rows of
-    :func:`text_score_table` and :func:`citation_score_table` in record
-    order, or None for a classifier the mode does not use.  Combined mode
+    Returns ``(databases, text_rows, cite_rows)``: the record-ordered
+    tables of :func:`text_score_table` and :func:`citation_score_table`,
+    or None for a classifier the mode does not use.  Combined mode
     needs the model and the graph to name the same databases, since each
     record is scored against both.
     """
@@ -179,13 +179,10 @@ def _score_tables(
             f"model databases {list(model.databases)} differ from "
             f"citation graph databases {list(graph.databases)}"
         )
-    text_rows = cite_rows = None
-    if uses_text:
-        table = text_score_table(records, model, text_config, tokenizer_config)
-        text_rows = [table[r.id] for r in records]
-    if uses_citations:
-        table = citation_score_table(records, graph)
-        cite_rows = [table[r.id] for r in records]
+    text_rows = (
+        text_score_table(records, model, text_config, tokenizer_config) if uses_text else None
+    )
+    cite_rows = citation_score_table(records, graph) if uses_citations else None
     databases = model.databases if uses_text else graph.databases
     return databases, text_rows, cite_rows
 

@@ -20,11 +20,10 @@ record with no phrase's first token skips phrase matching altogether.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from unicodedata import normalize
 
-from bibclass.errors import DataError
+from bibclass.errors import read_lines
 
 # A translate table that lowercases ASCII letters and turns every other byte
 # outside [a-z0-9-] into a space, so splitting on whitespace leaves the words.
@@ -138,30 +137,18 @@ def _drop_phrases(
 
 def load_term_list(path: str | Path) -> list[str]:
     """Read one term (or phrase) per line; blank lines and # comments ignored."""
-    try:
-        raw = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read term list {path}: {exc}") from exc
     terms = []
-    for line in raw.splitlines():
+    for _, line in read_lines(path, "term list"):
         line = line.strip()
         if line and not line.startswith("#"):
             terms.append(line.lower())
     return terms
 
 
-def _packaged_terms(name: str) -> frozenset[str]:
-    text = resources.files("bibclass").joinpath(f"data/{name}").read_text(encoding="utf-8")
-    return frozenset(
-        line.strip().lower()
-        for line in text.splitlines()
-        if line.strip() and not line.startswith("#")
-    )
-
-
 def default_tokenizer_config() -> TokenizerConfig:
     """Tokenizer config backed by the packaged stop word and phrase lists."""
+    data = Path(__file__).with_name("data")
     return TokenizerConfig(
-        stop_words=_packaged_terms("stopwords.txt"),
-        stop_phrases=_packaged_terms("stopphrases.txt"),
+        stop_words=frozenset(load_term_list(data / "stopwords.txt")),
+        stop_phrases=frozenset(load_term_list(data / "stopphrases.txt")),
     )

@@ -116,13 +116,13 @@ def text_scores_reference(model, tokens):
 
 
 def text_table_reference(records, model, triggers, boost, stop_words, stop_phrases, min_length):
-    """Token count and boosted scores per record id, through the references only.
+    """Token count and boosted scores per record, in record order, through the references only.
 
     Tokens come from :func:`tokenize_reference` and
     :func:`filter_tokens_reference`; a database whose trigger terms appear
     among them gains ``boost``, capped at 1.
     """
-    table = {}
+    table = []
     for r in records:
         text = r.title + " " + (r.abstract or "")
         tokens = filter_tokens_reference(
@@ -132,7 +132,7 @@ def text_table_reference(records, model, triggers, boost, stop_words, stop_phras
         for db, terms in triggers.items():
             if db in scores and set(terms) & set(tokens):
                 scores[db] = min(1.0, scores[db] + boost)
-        table[r.id] = (len(tokens), scores)
+        table.append((len(tokens), scores))
     return table
 
 
@@ -225,8 +225,8 @@ def precision_recall_counts(assigned, gold, db):
     return tp, fp, fn, precision, recall
 
 
-def assign_reference(record_id, mode, databases, text_table, cite_table, point):
-    """One record's ``(via_text, via_citation)`` database sets at one point.
+def assign_reference(index, mode, databases, text_table, cite_table, point):
+    """The ``(via_text, via_citation)`` database sets of record ``index`` at one point.
 
     ``point`` is ``(N_t, S_t, N_c, R_c)``; each classifier assigns a
     database when the record's count reaches the gate and its value for
@@ -236,11 +236,11 @@ def assign_reference(record_id, mode, databases, text_table, cite_table, point):
     nt, st, nc, rc = point
     via_text, via_citation = set(), set()
     if mode in ("text", "combined"):
-        n, scores = text_table[record_id]
+        n, scores = text_table[index]
         if n >= nt:
             via_text = {d for d in databases if scores[d] >= st}
     if mode in ("citation", "combined"):
-        total, ratios = cite_table[record_id]
+        total, ratios = cite_table[index]
         if total >= nc:
             via_citation = {d for d in databases if ratios[d] >= rc}
     return via_text, via_citation
@@ -249,8 +249,9 @@ def assign_reference(record_id, mode, databases, text_table, cite_table, point):
 def sweep_reference(records, mode, db, databases, text_table, cite_table, grids, base):
     """Sweep one database by assigning every record at every grid point.
 
-    ``text_table`` and ``cite_table`` map record id to ``(count, {db: value})``
-    (token count and text score; citer count and citation ratio).
+    ``text_table`` and ``cite_table`` hold one ``(count, {db: value})`` row
+    per record, in record order (token count and text score; citer count
+    and citation ratio).
     ``grids`` holds the four value lists (N_t, S_t, N_c, R_c); a mode pins
     the two it does not use to ``base``, the same four parameters of the
     base configs.  Returns ``(tp, fp, fn, precision, recall, point)`` per
@@ -265,10 +266,8 @@ def sweep_reference(records, mode, db, databases, text_table, cite_table, grids,
     rows = []
     for point in product(nts, sts, ncs, rcs):
         assigned = {
-            i: set().union(
-                *assign_reference(r.id, mode, databases, text_table, cite_table, point)
-            )
-            for i, r in enumerate(records)
+            i: set().union(*assign_reference(i, mode, databases, text_table, cite_table, point))
+            for i in range(len(records))
         }
         rows.append((*precision_recall_counts(assigned, gold, db), point))
     return rows

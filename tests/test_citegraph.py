@@ -38,29 +38,27 @@ def graph():
 
 class TestCitationScoreTable:
     def test_counts_each_citer_once(self):
-        assert citation_score_table([rec("r1")], graph()) == {
-            "r1": (4, {"astro": 0.5, "phys": 0.5})
-        }
+        assert citation_score_table([rec("r1")], graph()) == [(4, {"astro": 0.5, "phys": 0.5})]
 
     def test_uncited_record_has_no_ratio(self):
         g = graph()
         g.citers["empty"] = frozenset()
         records = [rec("ghost"), rec("r1"), rec("empty")]
-        assert citation_score_table(records, g) == {
-            "ghost": (0, {"astro": 0.0, "phys": 0.0}),
-            "r1": (4, {"astro": 0.5, "phys": 0.5}),
-            "empty": (0, {"astro": 0.0, "phys": 0.0}),
-        }
+        assert citation_score_table(records, g) == [
+            (0, {"astro": 0.0, "phys": 0.0}),
+            (4, {"astro": 0.5, "phys": 0.5}),
+            (0, {"astro": 0.0, "phys": 0.0}),
+        ]
 
     def test_uncited_rows_are_shared_and_read_only(self):
-        table = citation_score_table([rec("ghost"), rec("lost")], graph())
-        assert table["ghost"] is table["lost"]
+        ghost, lost = citation_score_table([rec("ghost"), rec("lost")], graph())
+        assert ghost is lost
         with pytest.raises(TypeError):
-            table["ghost"][1]["astro"] = 1.0
+            ghost[1]["astro"] = 1.0
 
     def test_empty_membership_citers_dilute(self):
         # c4 has no memberships: it grows the denominator only.
-        total, ratios = citation_score_table([rec("r1")], graph())["r1"]
+        ((total, ratios),) = citation_score_table([rec("r1")], graph())
         assert total == 4
         assert ratios["astro"] == pytest.approx(2 / 4)
 

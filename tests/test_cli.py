@@ -612,6 +612,68 @@ class TestInputEncoding:
             runs.append((capsys.readouterr().out, out.read_bytes()))
         assert runs[1] == runs[0]
 
+    @pytest.mark.parametrize("sep", ["\x0c", "\x85", "\u2028"], ids=["ff", "nel", "ls"])
+    @pytest.mark.parametrize(
+        "reader,name,first,bad",
+        [
+            # ``first`` replaces the file's first line, with SEP where a space
+            # would parse the same; ``bad`` is appended and must be reported
+            # at the number of its \n-ended line (None: the reader has no error).
+            (
+                "records",
+                "test.jsonl",
+                'SEP{"id": "r0", "title": "quasar galaxy star", "year": 1997, "labels": []}',
+                '{"id": "r0", "title": "again", "year": 1997, "labels": []}',
+            ),
+            ("citations", "citations.tsv", "c9SEP\tr1", "bad"),
+            ("memberships", "memberships.tsv", "c1SEP\tastro", "bad"),
+            ("model", "model.txt", "bibclass-model SEPv1", "bad"),
+            ("stopwords", "stop.txt", "quasarSEPzz", None),
+            ("triggers", "triggers.tsv", "physSEP\tgalaxy", "bad"),
+            ("config", "config.txt", "ncSEP= 1", "bad"),
+        ],
+    )
+    def test_only_newlines_end_a_line(
+        self, workspace, monkeypatch, capsys, reader, name, first, bad, sep
+    ):
+        model = build(workspace)
+        path = workspace / name
+        rest = path.read_text(encoding="utf-8").splitlines()[1:] if path.exists() else []
+        out = workspace / "out.tsv"
+        argv = [
+            "classify",
+            "--records",
+            str(workspace / "test.jsonl"),
+            "--model",
+            str(model),
+            "--citations",
+            str(workspace / "citations.tsv"),
+            "--memberships",
+            str(workspace / "memberships.tsv"),
+            "--out",
+            str(out),
+        ]
+        if reader == "config":
+            monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(path))
+        else:
+            argv += [f"--{reader}", str(path)]  # the last of a repeated flag wins
+
+        def run(char, extra=()):
+            lines = [first.replace("SEP", char), *rest, *extra]
+            path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+            out.unlink(missing_ok=True)
+            capsys.readouterr()
+            rc = cli.run(argv)
+            return rc, capsys.readouterr(), out.read_bytes() if out.exists() else None, len(lines)
+
+        spaced, separated = run(" "), run(sep)
+        assert spaced[0] == 0
+        assert separated[:3] == spaced[:3]
+        if bad is not None:
+            rc, captured, _, lineno = run(sep, [bad])
+            assert rc in (1, 2)
+            assert f"{path}:{lineno}" in captured.err
+
 
 class TestWorkers:
     def test_worker_count_never_changes_output(self, bench, bench_model, tmp_path):

@@ -75,6 +75,12 @@ class TestLoadRecords:
             json.dumps({"id": "i\x85j", "title": "t", "year": 1, "labels": []}),
             json.dumps({"id": "k\x0bl", "title": "t", "year": 1, "labels": []}),
             json.dumps({"id": "m\x1cn", "title": "t", "year": 1, "labels": []}),
+            # A label is a cell of the model, memberships and assignments files.
+            json.dumps({"id": "x", "title": "t", "year": 1, "labels": ["bio\tx"]}),
+            json.dumps({"id": "x", "title": "t", "year": 1, "labels": ["a,b"]}),
+            json.dumps({"id": "x", "title": "t", "year": 1, "labels": ["astro", "c\nd"]}),
+            json.dumps({"id": "x", "title": "t", "year": 1, "labels": ["e\u2028f"]}),
+            json.dumps({"id": "x", "title": "t", "year": 1, "labels": ["g\x0ch"]}),
         ],
     )
     def test_malformed_lines_are_skipped_and_counted(self, tmp_path, line):

@@ -99,12 +99,12 @@ def inputs(setup):
 
 
 def reference_text_table(records, model, text_config, tokenizer_config):
-    """Token count and boosted scores per record, chained call by call."""
-    table = {}
+    """Token count and boosted scores per record, in record order, chained call by call."""
+    table = []
     for r in records:
         tokens = filter_tokens(tokenize(record_text(r)), tokenizer_config)
         score = apply_triggers(score_text(model, text_config, tokens), tokens, text_config)
-        table[r.id] = (len(tokens), score.per_db_score)
+        table.append((len(tokens), score.per_db_score))
     return table
 
 
@@ -142,11 +142,33 @@ class TestClassifyCorpus:
         text_table = reference_text_table(records, model, text_config, PLAIN)
         cite_table = citation_score_table(records, graph)
         assert [a.record_id for a in got] == [r.id for r in records]
-        for a, r in zip(got, records):
+        for i, a in enumerate(got):
             want = oracles.assign_reference(
-                r.id, "combined", ("astro", "phys"), text_table, cite_table, reference_point(setup)
+                i, "combined", ("astro", "phys"), text_table, cite_table, reference_point(setup)
             )
             assert (a.via_text, a.via_citation) == want
+
+    def test_records_sharing_an_id_are_scored_apart(self):
+        model = build_model(
+            [
+                record("t1", "galaxy star quasar galaxy nebula", ["astro"]),
+                record("t2", "protein enzyme cell protein gene", ["bio"]),
+            ],
+            ("astro", "bio"),
+            PLAIN,
+        )
+        records = [
+            record("a", "galaxy galaxy quasar star nebula"),
+            record("a", "protein enzyme gene cell protein"),
+        ]
+        got = classify_corpus(
+            records,
+            mode="text",
+            model=model,
+            text_config=TextClassifierConfig(score_threshold=0.5),
+            tokenizer_config=PLAIN,
+        )
+        assert [a.via_text for a in got] == [frozenset({"astro"}), frozenset({"bio"})]
 
     def test_text_mode_matches_per_record_reference(self, setup):
         records, model, _, text_config, _ = setup
@@ -159,9 +181,9 @@ class TestClassifyCorpus:
         )
         text_table = reference_text_table(records, model, text_config, PLAIN)
         assert [a.record_id for a in got] == [r.id for r in records]
-        for a, r in zip(got, records):
+        for i, a in enumerate(got):
             want, _ = oracles.assign_reference(
-                r.id, "text", ("astro", "phys"), text_table, None, reference_point(setup)
+                i, "text", ("astro", "phys"), text_table, None, reference_point(setup)
             )
             assert a.via_text == want
             assert a.via_citation == frozenset()
@@ -468,10 +490,10 @@ def sweep_corpora(draw):
 def recorded_values(text_table, cite_table):
     """Every recorded token count, text score, citer count and citation ratio."""
     return (
-        [n for n, _ in text_table.values()],
-        [s[d] for _, s in text_table.values() for d in _DBS],
-        [n for n, _ in cite_table.values()],
-        [r[d] for _, r in cite_table.values() for d in _DBS],
+        [n for n, _ in text_table],
+        [s[d] for _, s in text_table for d in _DBS],
+        [n for n, _ in cite_table],
+        [r[d] for _, r in cite_table for d in _DBS],
     )
 
 
@@ -557,8 +579,8 @@ class TestOnePathProperties:
             for a in classify_corpus(records, mode=mode, **inputs)
         ]
         want = [
-            (r.id, *oracles.assign_reference(r.id, mode, _DBS, text_table, cite_table, point))
-            for r in records
+            (r.id, *oracles.assign_reference(i, mode, _DBS, text_table, cite_table, point))
+            for i, r in enumerate(records)
         ]
         assert got == want
 
