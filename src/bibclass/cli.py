@@ -18,7 +18,9 @@ import logging
 import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 from bibclass import evalhub
 from bibclass.bayes import CategoryModel, TextClassifierConfig, build_model
@@ -46,35 +48,109 @@ log = logging.getLogger(__name__)
 
 CONFIG_ENV_VAR = "BIBCLASS_CONFIG"
 
-# Built-in defaults, as the strings a config file would supply.  Path flags
-# have no default; --alpha only affects build-model (smoothing is stored in
-# the model and reused at scoring time).
-DEFAULTS = {
-    "mode": "combined",
-    "nt": "5",
-    "st": "0.25",
-    "nc": "4",
-    "rc": "0.5",
-    "alpha": "1.0",
-    "boost": "0.25",
-    "out": "assignments.tsv",
-    "grid_out": "grid.csv",
-    "workers": "1",
+
+def _integer(minimum: int) -> Callable[[str, str], int]:
+    """The rule of an integer flag of at least ``minimum``."""
+
+    def parse(value: str, flag: str) -> int:
+        try:
+            out = int(value)
+        except ValueError:
+            raise UsageError(f"invalid integer for {flag}: '{value}'") from None
+        if out < minimum:
+            raise UsageError(f"{flag} must be >= {minimum}, got {out}")
+        return out
+
+    return parse
+
+
+def _real(low: float, high: float, low_open: bool = False) -> Callable[[str, str], float]:
+    """The rule of a finite real flag in [low, high], or (low, high] with ``low_open``."""
+
+    def parse(value: str, flag: str) -> float:
+        try:
+            out = float(value)
+        except ValueError:
+            raise UsageError(f"invalid number for {flag}: '{value}'") from None
+        if not math.isfinite(out):
+            raise UsageError(f"{flag} must be a finite number, got '{value}'")
+        if out < low or out > high or (low_open and out == low):
+            bounds = f"({low}, {high}]" if low_open else f"[{low}, {high}]"
+            raise UsageError(f"{flag} must be in {bounds}, got {out}")
+        return out
+
+    return parse
+
+
+def _mode_value(value: str, flag: str) -> str:
+    if value not in MODES:
+        raise UsageError(f"{flag} must be one of {', '.join(MODES)}; got '{value}'")
+    return value
+
+
+@dataclass(frozen=True)
+class _Flag:
+    """One flag's help text, default and value rule.
+
+    ``default`` is the string a config file would supply.  A value flag has
+    a ``parse`` rule taking the string and the flag; with ``listable`` the
+    sweep command takes a comma-separated list of values, and every other
+    command exactly one.
+    """
+
+    help: str
+    default: str | None = None
+    parse: Callable[[str, str], Any] | None = None
+    listable: bool = False
+
+    def help_text(self) -> str:
+        """The help with the default and the sweep note joined into its parenthetical."""
+        notes = [f"default: {self.default}"] if self.default else []
+        if self.listable:
+            notes.append("sweep accepts a comma-separated list")
+        if not notes:
+            return self.help
+        if self.help.endswith(")"):
+            return f"{self.help[:-1]}; {'; '.join(notes)})"
+        return f"{self.help} ({'; '.join(notes)})"
+
+
+# Every flag by name, in the order --help lists them; the flag is "--" plus
+# the name with "_" turned into "-", and the name is also its config key.
+# --alpha only affects build-model: smoothing is stored in the model and
+# reused at scoring time.
+_FLAGS = {
+    "records": _Flag("records file, one JSON object per line"),
+    "model": _Flag("model file path"),
+    "citations": _Flag("citation edge file: citing<TAB>cited"),
+    "memberships": _Flag("database membership file: record_id<TAB>db1,db2,..."),
+    "triggers": _Flag("trigger keyword file: database<TAB>term"),
+    "stopwords": _Flag("stop word list, one per line (default: bundled list)"),
+    "stopphrases": _Flag("stop phrase list, one per line (default: bundled list)"),
+    "mode": _Flag("classifier mode: text, citation or combined", "combined", _mode_value),
+    "db": _Flag("database to report on"),
+    "nt": _Flag("minimum word count for text classification", "5", _integer(0), listable=True),
+    "st": _Flag("text score threshold in [0, 1]", "0.25", _real(0.0, 1.0), listable=True),
+    "nc": _Flag(
+        "minimum citation count for citation classification", "4", _integer(1), listable=True
+    ),
+    "rc": _Flag(
+        "citation ratio threshold in (0, 1]", "0.5", _real(0.0, 1.0, low_open=True), listable=True
+    ),
+    "alpha": _Flag(
+        "additive smoothing constant for training", "1.0", _real(0.0, math.inf, low_open=True)
+    ),
+    "boost": _Flag("score boost for trigger keywords", "0.25", _real(0.0, 1.0)),
+    "out": _Flag("assignments output path", "assignments.tsv"),
+    "grid_out": _Flag("sweep grid CSV path", "grid.csv"),
+    "workers": _Flag(
+        "accepted and ignored: runs are single-process (must be >= 1)", "1", _integer(1)
+    ),
 }
 
-_PATH_KEYS = (
-    "records",
-    "citations",
-    "memberships",
-    "model",
-    "triggers",
-    "stopwords",
-    "stopphrases",
-    "out",
-    "grid_out",
-)
-_VALUE_KEYS = ("mode", "db", "nt", "st", "nc", "rc", "alpha", "boost", "workers")
-_FLAG_KEYS = frozenset(_PATH_KEYS) | frozenset(_VALUE_KEYS)
+
+def _option(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,120 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
     sub.required = True
-
-    def add(p, *flags):
-        spec = {
-            "records": ("--records", "records file, one JSON object per line"),
-            "citations": ("--citations", "citation edge file: citing<TAB>cited"),
-            "memberships": (
-                "--memberships",
-                "database membership file: record_id<TAB>db1,db2,...",
-            ),
-            "model": ("--model", "model file path"),
-            "triggers": ("--triggers", "trigger keyword file: database<TAB>term"),
-            "stopwords": ("--stopwords", "stop word list, one per line (default: bundled list)"),
-            "stopphrases": (
-                "--stopphrases",
-                "stop phrase list, one per line (default: bundled list)",
-            ),
-            "mode": ("--mode", "classifier mode: text, citation or combined (default: combined)"),
-            "db": ("--db", "database to report on"),
-            "nt": (
-                "--nt",
-                "minimum word count for text classification (default: 5; "
-                "sweep accepts a comma-separated list)",
-            ),
-            "st": (
-                "--st",
-                "text score threshold in [0, 1] (default: 0.25; "
-                "sweep accepts a comma-separated list)",
-            ),
-            "nc": (
-                "--nc",
-                "minimum citation count for citation classification (default: 4; "
-                "sweep accepts a comma-separated list)",
-            ),
-            "rc": (
-                "--rc",
-                "citation ratio threshold in (0, 1] (default: 0.5; "
-                "sweep accepts a comma-separated list)",
-            ),
-            "alpha": ("--alpha", "additive smoothing constant for training (default: 1.0)"),
-            "boost": ("--boost", "score boost for trigger keywords (default: 0.25)"),
-            "out": ("--out", "assignments output path (default: assignments.tsv)"),
-            "grid_out": ("--grid-out", "sweep grid CSV path (default: grid.csv)"),
-            "workers": (
-                "--workers",
-                "accepted and ignored: runs are single-process (must be >= 1; default: 1)",
-            ),
-        }
-        for name in flags:
-            flag, help_text = spec[name]
-            p.add_argument(flag, dest=name, default=None, metavar="VALUE", help=help_text)
-
-    p = sub.add_parser("build-model", help="train a model from labeled records")
-    add(p, "records", "model", "stopwords", "stopphrases", "alpha")
-
-    p = sub.add_parser("classify", help="assign records to databases")
-    add(
-        p,
-        "records",
-        "model",
-        "citations",
-        "memberships",
-        "triggers",
-        "stopwords",
-        "stopphrases",
-        "mode",
-        "nt",
-        "st",
-        "nc",
-        "rc",
-        "boost",
-        "out",
-        "workers",
-    )
-
-    p = sub.add_parser("evaluate", help="score assignments against the records' labels")
-    add(
-        p,
-        "records",
-        "model",
-        "citations",
-        "memberships",
-        "triggers",
-        "stopwords",
-        "stopphrases",
-        "mode",
-        "db",
-        "nt",
-        "st",
-        "nc",
-        "rc",
-        "boost",
-        "workers",
-    )
-
-    p = sub.add_parser("sweep", help="evaluate one database over a parameter grid")
-    add(
-        p,
-        "records",
-        "model",
-        "citations",
-        "memberships",
-        "triggers",
-        "stopwords",
-        "stopphrases",
-        "mode",
-        "db",
-        "nt",
-        "st",
-        "nc",
-        "rc",
-        "boost",
-        "grid_out",
-        "workers",
-    )
+    for command, (help_text, names, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        names = names.split()
+        for name, flag in _FLAGS.items():
+            if name in names:
+                p.add_argument(
+                    _option(name), dest=name, default=None, metavar="VALUE", help=flag.help_text()
+                )
     return parser
 
 
@@ -224,68 +194,43 @@ def _load_config_file(path: str) -> dict[str, str]:
         if not sep:
             raise UsageError(f"bad config line at {path}:{lineno}: expected key=value")
         key = key.strip().replace("-", "_")
-        if key not in _FLAG_KEYS:
+        if key not in _FLAGS:
             raise UsageError(f"unknown config key '{key}' at {path}:{lineno}")
         values[key] = value.strip()
     return values
 
 
-def _merge(args: argparse.Namespace) -> dict[str, str | None]:
-    """Explicit flags win over the config file, which wins over defaults."""
-    config: dict[str, str] = {}
+def _settings(args: argparse.Namespace) -> dict[str, Any]:
+    """The command's flags, every value flag parsed before any input file is read.
+
+    Explicit flags win over the config file, which wins over defaults.  A
+    listable flag's value is a tuple, that of any other value flag a scalar;
+    a path flag's value is the string or None.
+    """
     env = os.environ.get(CONFIG_ENV_VAR)
-    if env:
-        config = _load_config_file(env)
-    merged: dict[str, str | None] = {}
-    for key in _FLAG_KEYS:
-        explicit = getattr(args, key, None)
-        if explicit is not None:
-            merged[key] = explicit
-        elif key in config:
-            merged[key] = config[key]
-        else:
-            merged[key] = DEFAULTS.get(key)
-    return merged
+    config = _load_config_file(env) if env else {}
+    names = _COMMANDS[args.command][1].split()
+    settings: dict[str, Any] = {}
+    for name, flag in _FLAGS.items():
+        if name not in names:
+            continue
+        value = getattr(args, name)
+        if value is None:
+            value = config.get(name, flag.default)
+        if flag.listable:
+            value = tuple(flag.parse(v.strip(), _option(name)) for v in value.split(","))
+            if len(value) > 1 and args.command != "sweep":
+                raise UsageError(f"{_option(name)} accepts a single value for {args.command}")
+        elif flag.parse:
+            value = flag.parse(value, _option(name))
+        settings[name] = value
+    return settings
 
 
-def _int_value(value: str, flag: str, minimum: int) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"invalid integer for {flag}: '{value}'") from None
-    if out < minimum:
-        raise UsageError(f"{flag} must be >= {minimum}, got {out}")
-    return out
-
-
-def _float_value(value: str, flag: str, low: float, high: float, low_open: bool = False) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"invalid number for {flag}: '{value}'") from None
-    if not math.isfinite(out):
-        raise UsageError(f"{flag} must be a finite number, got '{value}'")
-    if out < low or out > high or (low_open and out == low):
-        bounds = f"({low}, {high}]" if low_open else f"[{low}, {high}]"
-        raise UsageError(f"{flag} must be in {bounds}, got {out}")
-    return out
-
-
-def _int_list(value: str, flag: str, minimum: int) -> tuple[int, ...]:
-    return tuple(_int_value(v.strip(), flag, minimum) for v in value.split(","))
-
-
-def _float_list(
-    value: str, flag: str, low: float, high: float, low_open: bool = False
-) -> tuple[float, ...]:
-    return tuple(_float_value(v.strip(), flag, low, high, low_open) for v in value.split(","))
-
-
-def _require(merged: dict[str, str | None], key: str, command: str) -> str:
-    value = merged.get(key)
+def _require(settings: dict[str, Any], key: str, command: str) -> str:
+    value = settings.get(key)
     if not value:
-        flag = "--" + key.replace("_", "-")
-        raise UsageError(f"{command} requires {flag}")
+        raise UsageError(f"{command} requires {_option(key)}")
     return value
 
 
@@ -294,17 +239,14 @@ def _require(merged: dict[str, str | None], key: str, command: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _tokenizer_config(merged: dict[str, str | None]) -> TokenizerConfig:
+def _tokenizer_config(settings: dict[str, Any]) -> TokenizerConfig:
     base = default_tokenizer_config()
-    words = (
-        frozenset(load_term_list(merged["stopwords"])) if merged["stopwords"] else base.stop_words
+    words = settings["stopwords"]
+    phrases = settings["stopphrases"]
+    return TokenizerConfig(
+        stop_words=frozenset(load_term_list(words)) if words else base.stop_words,
+        stop_phrases=frozenset(load_term_list(phrases)) if phrases else base.stop_phrases,
     )
-    phrases = (
-        frozenset(load_term_list(merged["stopphrases"]))
-        if merged["stopphrases"]
-        else base.stop_phrases
-    )
-    return TokenizerConfig(stop_words=words, stop_phrases=phrases)
 
 
 def load_triggers(
@@ -313,8 +255,10 @@ def load_triggers(
     """Read ``database<TAB>term`` trigger lines into per-database term sets.
 
     Terms are tokenized the same way documents are, so a hyphenated trigger
-    matches the joined token it produces.  A term the filters would remove
-    can never fire and is rejected outright.
+    matches the joined token it produces.  A term must tokenize to one word,
+    or to one compound (its joined form followed by exactly its parts), and
+    a term the filters would remove can never fire: anything else is
+    rejected outright.
     """
     triggers: dict[str, set[str]] = {}
     for lineno, line in read_lines(path, "triggers file"):
@@ -331,9 +275,14 @@ def load_triggers(
             raise DataError(
                 f"trigger database '{db}' at {path}:{lineno} is not one of {list(databases)}"
             )
-        if " " in term:
-            raise DataError(f"trigger term '{term}' at {path}:{lineno} must be a single word")
-        tokens = filter_tokens(tokenize(term), tokenizer_config)
+        tokens = tokenize(term)
+        words = tokenize(term.replace("-", " "))
+        if len(words) > 1 and tokens != ["".join(words), *words]:
+            raise DataError(
+                f"trigger term '{term}' at {path}:{lineno} must be a single word "
+                "or hyphenated compound"
+            )
+        tokens = filter_tokens(tokens, tokenizer_config)
         if not tokens:
             raise DataError(
                 f"trigger term '{term}' at {path}:{lineno} is removed by token filtering"
@@ -342,31 +291,14 @@ def load_triggers(
     return {db: frozenset(terms) for db, terms in triggers.items()}
 
 
-def _load_classification_inputs(merged: dict[str, str | None], command: str, grid: bool = False):
+def _load_classification_inputs(settings: dict[str, Any], command: str):
     """Load everything classify/evaluate/sweep share; returns a dict of parts.
 
-    With ``grid`` the four decision parameters may be comma-separated value
-    lists; otherwise each must be a single value.
+    A ``db`` setting must name one of the run's databases.
     """
-    mode = merged["mode"]
-    if mode not in MODES:
-        raise UsageError(f"--mode must be one of {', '.join(MODES)}; got '{mode}'")
-    _int_value(merged["workers"], "--workers", minimum=1)  # validated, otherwise unused
-    nt_values = _int_list(merged["nt"], "--nt", minimum=0)
-    st_values = _float_list(merged["st"], "--st", 0.0, 1.0)
-    nc_values = _int_list(merged["nc"], "--nc", minimum=1)
-    rc_values = _float_list(merged["rc"], "--rc", 0.0, 1.0, low_open=True)
-    if not grid:
-        for flag, values in (
-            ("--nt", nt_values),
-            ("--st", st_values),
-            ("--nc", nc_values),
-            ("--rc", rc_values),
-        ):
-            if len(values) > 1:
-                raise UsageError(f"{flag} accepts a single value for {command}")
-    tokenizer_config = _tokenizer_config(merged)
-    corpus = load_records(_require(merged, "records", command))
+    mode = settings["mode"]
+    tokenizer_config = _tokenizer_config(settings)
+    corpus = load_records(_require(settings, "records", command))
 
     model: CategoryModel | None = None
     text_config: TextClassifierConfig | None = None
@@ -375,17 +307,17 @@ def _load_classification_inputs(merged: dict[str, str | None], command: str, gri
     databases: tuple[str, ...] = ()
 
     if mode in ("text", "combined"):
-        model = load_model(_require(merged, "model", command))
+        model = load_model(_require(settings, "model", command))
         databases = model.databases
     if mode in ("citation", "combined"):
-        memberships = load_memberships(_require(merged, "memberships", command))
+        memberships = load_memberships(_require(settings, "memberships", command))
         if not databases:
             databases = tuple(sorted({db for dbs in memberships.values() for db in dbs}))
             if not databases:
                 raise DataError("membership file names no databases")
         known = set(memberships) | set(corpus.ids())
         graph, stats = load_citations(
-            _require(merged, "citations", command), known, memberships, databases
+            _require(settings, "citations", command), known, memberships, databases
         )
         log.info(
             "citations: kept %d edge(s), dropped %d duplicate(s), %d self-citation(s), "
@@ -396,24 +328,26 @@ def _load_classification_inputs(merged: dict[str, str | None], command: str, gri
             stats.unknown_citers,
         )
         cite_config = CitationClassifierConfig(
-            min_citations=nc_values[0], ratio_threshold=rc_values[0]
+            min_citations=settings["nc"][0], ratio_threshold=settings["rc"][0]
         )
+    db = settings.get("db")
+    if db and db not in databases:
+        raise DataError(f"database '{db}' is not in the configured set {list(databases)}")
     if model is not None:
         triggers = (
-            load_triggers(merged["triggers"], databases, tokenizer_config)
-            if merged["triggers"]
+            load_triggers(settings["triggers"], databases, tokenizer_config)
+            if settings["triggers"]
             else {}
         )
         text_config = TextClassifierConfig(
-            min_words=nt_values[0],
-            score_threshold=st_values[0],
+            min_words=settings["nt"][0],
+            score_threshold=settings["st"][0],
             triggers=triggers,
-            trigger_boost=_float_value(merged["boost"], "--boost", 0.0, 1.0),
+            trigger_boost=settings["boost"],
         )
     return {
         "corpus": corpus,
         "databases": databases,
-        "grids": SweepGrids(nt_values, st_values, nc_values, rc_values) if grid else None,
         # The keyword arguments classify_corpus, evaluate and sweep share.
         "inputs": dict(
             mode=mode,
@@ -431,11 +365,11 @@ def _load_classification_inputs(merged: dict[str, str | None], command: str, gri
 # ---------------------------------------------------------------------------
 
 
-def _cmd_build_model(merged: dict[str, str | None]) -> int:
-    alpha = _float_value(merged["alpha"], "--alpha", 0.0, float("inf"), low_open=True)
-    model_path = _require(merged, "model", "build-model")
-    tokenizer_config = _tokenizer_config(merged)
-    corpus = load_records(_require(merged, "records", "build-model"))
+def _cmd_build_model(settings: dict[str, Any]) -> int:
+    alpha = settings["alpha"]
+    model_path = _require(settings, "model", "build-model")
+    tokenizer_config = _tokenizer_config(settings)
+    corpus = load_records(_require(settings, "records", "build-model"))
     databases = tuple(sorted({db for r in corpus.records for db in r.gold_labels}))
     if not databases:
         raise DataError("no labeled records to train on")
@@ -471,11 +405,11 @@ def emit_assignments(
     write_text_atomic(path, "".join(lines), "assignments file")
 
 
-def _cmd_classify(merged: dict[str, str | None]) -> int:
-    parts = _load_classification_inputs(merged, "classify")
+def _cmd_classify(settings: dict[str, Any]) -> int:
+    parts = _load_classification_inputs(settings, "classify")
     corpus: Corpus = parts["corpus"]
     assignments = evalhub.classify_corpus(corpus.records, **parts["inputs"])
-    out = merged["out"]
+    out = settings["out"]
     emit_assignments(assignments, parts["databases"], out)
     assigned = sum(1 for a in assignments if a.databases)
     print(f"mode: {parts['inputs']['mode']}")
@@ -488,12 +422,10 @@ def _cmd_classify(merged: dict[str, str | None]) -> int:
     return 0
 
 
-def _cmd_evaluate(merged: dict[str, str | None]) -> int:
-    parts = _load_classification_inputs(merged, "evaluate")
+def _cmd_evaluate(settings: dict[str, Any]) -> int:
+    parts = _load_classification_inputs(settings, "evaluate")
     corpus: Corpus = parts["corpus"]
-    db = merged["db"]
-    if db and db not in parts["databases"]:
-        raise DataError(f"database '{db}' is not in the configured set")
+    db = settings["db"]
     reports = evalhub.evaluate(corpus.records, **parts["inputs"])
     print(f"mode: {parts['inputs']['mode']}")
     print(f"records: {len(corpus.records)} ({corpus.skipped} skipped)")
@@ -506,12 +438,13 @@ def _cmd_evaluate(merged: dict[str, str | None]) -> int:
     return 0
 
 
-def _cmd_sweep(merged: dict[str, str | None]) -> int:
-    db = _require(merged, "db", "sweep")
-    parts = _load_classification_inputs(merged, "sweep", grid=True)
+def _cmd_sweep(settings: dict[str, Any]) -> int:
+    db = _require(settings, "db", "sweep")
+    parts = _load_classification_inputs(settings, "sweep")
     corpus: Corpus = parts["corpus"]
-    grid = evalhub.sweep(corpus.records, parts["grids"], db=db, **parts["inputs"])
-    out = merged["grid_out"]
+    grids = SweepGrids(settings["nt"], settings["st"], settings["nc"], settings["rc"])
+    grid = evalhub.sweep(corpus.records, grids, db=db, **parts["inputs"])
+    out = settings["grid_out"]
     evalhub.emit_grid_csv(grid, out)
     print(f"mode: {grid.mode}")
     print(f"db: {grid.db}")
@@ -520,11 +453,20 @@ def _cmd_sweep(merged: dict[str, str | None]) -> int:
     return 0
 
 
+# Each command's help text, flag names and handler.
+_SCORING = (
+    "records model citations memberships triggers stopwords stopphrases "
+    "mode nt st nc rc boost workers"
+)
 _COMMANDS = {
-    "build-model": _cmd_build_model,
-    "classify": _cmd_classify,
-    "evaluate": _cmd_evaluate,
-    "sweep": _cmd_sweep,
+    "build-model": (
+        "train a model from labeled records",
+        "records model stopwords stopphrases alpha",
+        _cmd_build_model,
+    ),
+    "classify": ("assign records to databases", f"{_SCORING} out", _cmd_classify),
+    "evaluate": ("score assignments against the records' labels", f"{_SCORING} db", _cmd_evaluate),
+    "sweep": ("evaluate one database over a parameter grid", f"{_SCORING} db grid_out", _cmd_sweep),
 }
 
 
@@ -536,8 +478,7 @@ def run(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             # argparse exits directly for --help; errors raise UsageError.
             return int(exc.code or 0)
-        merged = _merge(args)
-        return _COMMANDS[args.command](merged)
+        return _COMMANDS[args.command][2](_settings(args))
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1

@@ -4,7 +4,7 @@ File formats:
 
 * records: one JSON object per line with keys ``id`` (no tab or line
   boundary), ``title``, ``year`` and optional ``abstract``, ``journal``,
-  ``labels`` (no tab, comma or line boundary).
+  ``labels`` (no tab, comma or line boundary, no whitespace at either end).
 * citations: ``citing_id<TAB>cited_id`` edge list; ``#`` comments allowed.
 * memberships: ``record_id<TAB>db1,db2,...`` naming the databases a citing
   paper already belongs to; ``#`` comments allowed.
@@ -125,8 +125,10 @@ def _parse_record_line(line: str) -> BibRecord | None:
     if journal is not None and not isinstance(journal, str):
         return None
     # A label is a cell of the model and assignments files and an item of a
-    # comma-separated memberships column.
-    if not isinstance(labels, list) or not all(_is_cell(x) and "," not in x for x in labels):
+    # comma-separated memberships column, whose reader strips each item.
+    if not isinstance(labels, list) or not all(
+        _is_cell(x) and "," not in x and x == x.strip() for x in labels
+    ):
         return None
     try:
         "".join((rid, title, abstract or "", journal or "", *labels)).encode("utf-8")

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import math
 import os
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bibclass import cli
+from bibclass import cli, evalhub
 from bibclass.corpus import save_model
 from bibclass.errors import DataError
 from bibclass.evalhub import Assignment
@@ -211,25 +217,29 @@ class TestClassify:
         assert "absent.txt" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag,value",
+        "mode,flag,value",
         [
-            ("--st", "1.5"),
-            ("--st", "abc"),
-            ("--st", "nan"),
-            ("--st", "inf"),
-            ("--rc", "nan"),
-            ("--rc", "-inf"),
-            ("--boost", "nan"),
-            ("--boost", "inf"),
-            ("--nt", "-1"),
-            ("--nc", "0"),
-            ("--rc", "0"),
-            ("--workers", "0"),
-            ("--mode", "psychic"),
+            ("text", "--st", "1.5"),
+            ("text", "--st", "abc"),
+            ("text", "--st", "nan"),
+            ("text", "--st", "inf"),
+            ("text", "--rc", "nan"),
+            ("text", "--rc", "-inf"),
+            ("text", "--boost", "nan"),
+            ("text", "--boost", "inf"),
+            ("text", "--nt", "-1"),
+            ("text", "--nc", "0"),
+            ("text", "--rc", "0"),
+            ("text", "--workers", "0"),
+            ("text", "--mode", "psychic"),
+            # Citation mode does not use --boost, but still checks it.
+            ("citation", "--boost", "nan"),
+            ("citation", "--boost", "7"),
         ],
     )
-    def test_bad_parameter_values_are_usage_errors(self, workspace, flag, value):
+    def test_bad_parameter_values_are_usage_errors(self, workspace, capsys, mode, flag, value):
         model = build(workspace)
+        out = workspace / "out.tsv"
         rc = cli.run(
             [
                 "classify",
@@ -237,12 +247,21 @@ class TestClassify:
                 str(workspace / "test.jsonl"),
                 "--model",
                 str(model),
+                "--citations",
+                str(workspace / "citations.tsv"),
+                "--memberships",
+                str(workspace / "memberships.tsv"),
+                "--out",
+                str(out),
                 "--mode",
-                "text" if flag != "--mode" else value,
-                *([] if flag == "--mode" else [flag, value]),
+                mode,
+                flag,  # the last of a repeated --mode wins
+                value,
             ]
         )
         assert rc == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_list_value_rejected_outside_sweep(self, workspace, capsys):
         model = build(workspace)
@@ -306,23 +325,6 @@ class TestEvaluate:
         assert "db=astro" in out
         assert "db=phys" not in out
 
-    def test_unknown_db_is_data_error(self, workspace):
-        model = build(workspace)
-        rc = cli.run(
-            [
-                "evaluate",
-                "--records",
-                str(workspace / "test.jsonl"),
-                "--model",
-                str(model),
-                "--mode",
-                "text",
-                "--db",
-                "nope",
-            ]
-        )
-        assert rc == 2
-
 
 class TestSweep:
     def test_writes_grid_csv(self, workspace):
@@ -352,6 +354,44 @@ class TestSweep:
         assert lines[0] == "mode,db,N_t,S_t,N_c,R_c,tp,fp,fn,precision,recall"
         assert len(lines) == 5
         assert lines[1].startswith("text,astro,1,0.250000,")
+
+    @pytest.mark.parametrize("mode", ["text", "citation", "combined"])
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_unknown_db_is_data_error_before_scoring(
+        self, workspace, monkeypatch, capsys, command, mode
+    ):
+        def fail(*args):
+            raise AssertionError("a record was scored")
+
+        monkeypatch.setattr(evalhub, "text_score_table", fail)
+        monkeypatch.setattr(evalhub, "citation_score_table", fail)
+        build(workspace)
+        monkeypatch.chdir(workspace)
+        capsys.readouterr()
+        rc = cli.run(
+            [
+                command,
+                "--records",
+                "test.jsonl",
+                "--model",
+                "model.txt",
+                "--citations",
+                "citations.tsv",
+                "--memberships",
+                "memberships.tsv",
+                "--mode",
+                mode,
+                "--db",
+                "nope",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == (
+            "error: database 'nope' is not in the configured set ['astro', 'phys']\n"
+        )
+        assert captured.out == ""
+        assert not Path("grid.csv").exists()
 
     def test_db_is_required(self, workspace, capsys):
         model = build(workspace)
@@ -728,10 +768,11 @@ class TestTriggers:
         with pytest.raises(DataError, match="1997"):
             cli.load_triggers(triggers, ("astro",), TokenizerConfig())
 
-    def test_multi_word_trigger_is_data_error(self, workspace):
+    @pytest.mark.parametrize("term", ["black hole", "galaxy,star", "x/ray", "x--ray"])
+    def test_multi_word_trigger_is_data_error(self, workspace, term):
         triggers = workspace / "triggers.tsv"
-        triggers.write_text("astro\tblack hole\n", encoding="utf-8")
-        with pytest.raises(DataError, match="single word"):
+        triggers.write_text(f"# a comment\nastro\t{term}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{triggers}:2 must be a single word")):
             cli.load_triggers(triggers, ("astro",), TokenizerConfig())
 
 
@@ -788,3 +829,99 @@ class TestHelp:
     def test_top_level_help_exits_zero(self, capsys):
         assert cli.run(["--help"]) == 0
         assert "build-model" in capsys.readouterr().out
+
+    # Each command's flags, in the order --help lists them.
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("build-model", "--records --model --stopwords --stopphrases --alpha"),
+            (
+                "classify",
+                "--records --model --citations --memberships --triggers --stopwords "
+                "--stopphrases --mode --nt --st --nc --rc --boost --out --workers",
+            ),
+            (
+                "evaluate",
+                "--records --model --citations --memberships --triggers --stopwords "
+                "--stopphrases --mode --db --nt --st --nc --rc --boost --workers",
+            ),
+            (
+                "sweep",
+                "--records --model --citations --memberships --triggers --stopwords "
+                "--stopphrases --mode --db --nt --st --nc --rc --boost --grid-out --workers",
+            ),
+        ],
+    )
+    def test_each_command_lists_exactly_its_flags(self, capsys, command, flags):
+        assert cli.run([command, "--help"]) == 0
+        options = capsys.readouterr().out.split("\noptions:\n")[1]
+        listed = re.findall(r"^  (?:-h, )?(--[a-z-]+)", options, flags=re.M)
+        assert listed == ["--help", *flags.split()]
+
+
+# How each numeric flag reads a value and the range an accepted value lies in.
+_NUMERIC_FLAGS = {
+    "nt": (int, lambda x: x >= 0),
+    "st": (float, lambda x: 0 <= x <= 1),
+    "nc": (int, lambda x: x >= 1),
+    "rc": (float, lambda x: 0 < x <= 1),
+    "alpha": (float, lambda x: x > 0),
+    "boost": (float, lambda x: 0 <= x <= 1),
+    "workers": (int, lambda x: x >= 1),
+}
+_LISTABLE = ("nt", "st", "nc", "rc")
+
+
+def _in_range(flag, text):
+    kind, ok = _NUMERIC_FLAGS[flag]
+    try:
+        value = kind(text)
+    except ValueError:
+        return False
+    return math.isfinite(value) and ok(value)
+
+
+_VALUE_TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    st.sampled_from(
+        ["nan", "-nan", "inf", "-inf", "1e309", "-0", "-0.0", "1_0", "0x1", "1e-400"]
+        + [" 1 ", "\t0.5\u2003", "\u0661", "\uff11", "\u0665\u0660", "\u00b2", "1,2", "0.5,"]
+    ),
+)
+
+
+class TestValueProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        flag=st.sampled_from(sorted(_NUMERIC_FLAGS)),
+        command=st.sampled_from(["classify", "evaluate", "sweep"]),
+        value=_VALUE_TEXT,
+        from_config=st.booleans(),
+    )
+    def test_value_is_checked_before_any_input(
+        self, tmp_path_factory, flag, command, value, from_config
+    ):
+        if flag == "alpha":
+            command = "build-model"
+        argv = [command, "--model", "absent.txt", *(["--db", "x"] if command == "sweep" else [])]
+        with pytest.MonkeyPatch.context() as mp:
+            if from_config:
+                assume("\n" not in value and "\r" not in value)
+                config = tmp_path_factory.getbasetemp() / "value-property-config.txt"
+                config.write_text(f"{flag} = {value}\n", encoding="utf-8")
+                mp.setenv(cli.CONFIG_ENV_VAR, str(config))
+                value = value.strip()
+            else:
+                mp.delenv(cli.CONFIG_ENV_VAR, raising=False)
+                argv.append(f"--{flag}={value}")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.run(argv)
+        items = value.split(",")
+        single = len(items) == 1 or (command == "sweep" and flag in _LISTABLE)
+        accepted = single and all(_in_range(flag, item) for item in items)
+        assert rc == 1
+        if accepted:
+            assert err.getvalue() == f"{command} requires --records\n"
+        else:
+            assert f"--{flag}" in err.getvalue()

@@ -81,6 +81,10 @@ class TestLoadRecords:
             json.dumps({"id": "x", "title": "t", "year": 1, "labels": ["astro", "c\nd"]}),
             json.dumps({"id": "x", "title": "t", "year": 1, "labels": ["e\u2028f"]}),
             json.dumps({"id": "x", "title": "t", "year": 1, "labels": ["g\x0ch"]}),
+            # The memberships reader strips names, so no line there could name these.
+            json.dumps({"id": "x", "title": "t", "year": 1, "labels": [" astro"]}),
+            json.dumps({"id": "x", "title": "t", "year": 1, "labels": ["astro "]}),
+            json.dumps({"id": "x", "title": "t", "year": 1, "labels": ["  "]}),
         ],
     )
     def test_malformed_lines_are_skipped_and_counted(self, tmp_path, line):
