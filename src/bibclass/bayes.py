@@ -4,8 +4,10 @@ A trained :class:`CategoryModel` holds, for every database, how often each
 term occurred in that database's training records plus a document count
 used as the class prior.  Scoring averages per-token log likelihoods so a
 document's score does not grow with its length, then maps the result to a
-probability distribution over the databases.  Database-specific trigger
-keywords can add a post-hoc boost to individual scores.
+probability distribution over the databases: :func:`score_text` returns it
+as a plain dict, database -> score.  Database-specific trigger keywords can
+add a post-hoc boost to individual scores: :func:`apply_triggers` returns a
+boosted copy of that dict.
 
 The smoothed log probabilities are computed once, when a model is built or
 loaded: :class:`CategoryModel` keeps one row per seen term, the term's
@@ -112,9 +114,6 @@ class CategoryModel:
     def total_docs(self) -> int:
         return sum(self.doc_counts[db] for db in self.databases)
 
-    def term_count(self, db: str, term: str) -> int:
-        return self.term_counts[db].get(term, 0)
-
 
 @dataclass(frozen=True)
 class TextClassifierConfig:
@@ -142,20 +141,6 @@ class TextClassifierConfig:
             for term in terms:
                 if term != term.lower():
                     raise ValueError(f"trigger term '{term}' for '{db}' is not lowercase")
-
-
-@dataclass(frozen=True)
-class TextScore:
-    """Per-database scores for one document.
-
-    Before boosting the scores form a probability distribution over the
-    model's databases; boosting may push individual scores up to 1.
-    """
-
-    per_db_score: dict[str, float]
-    token_count: int
-    classifiable: bool
-    triggered: dict[str, bool]
 
 
 def record_text(record: BibRecord) -> str:
@@ -219,33 +204,23 @@ def term_probability(model: CategoryModel, term: str, db: str) -> float:
     if model.vocabulary_size == 0:
         raise ValueError("model has an empty vocabulary")
     alpha = model.smoothing_alpha
-    return (model.term_count(db, term) + alpha) / (
+    return (model.term_counts[db].get(term, 0) + alpha) / (
         model.total_tokens[db] + alpha * model.vocabulary_size
     )
 
 
-def score_text(model: CategoryModel, config: TextClassifierConfig, tokens: list[str]) -> TextScore:
+def score_text(
+    model: CategoryModel, config: TextClassifierConfig, tokens: list[str]
+) -> dict[str, float]:
     """Score a filtered token stream against every database.
 
     Each database gets log(prior) plus the mean per-token log likelihood;
     the averaged values are mapped through a softmax so scores sum to 1 and
     do not depend on document length.  With no tokens the scores reduce to
-    the prior distribution.
-    """
-    n = len(tokens)
-    return TextScore(
-        per_db_score=dict(zip(model.databases, _posterior(model, tokens))),
-        token_count=n,
-        classifiable=n >= config.min_words,
-        triggered={db: False for db in model.databases},
-    )
-
-
-def _posterior(model: CategoryModel, tokens: list[str]) -> list[float]:
-    """The scores of :func:`score_text`, in ``model.databases`` order.
-
-    Each token is looked up once, for its row of per-database log
+    the prior distribution.  The scores are keyed in ``model.databases``
+    order.  Each token is looked up once, for its row of per-database log
     probabilities; each database's column is summed in token order.
+    ``config`` is not read.
     """
     log_likes = model.log_priors
     if not log_likes:
@@ -256,7 +231,7 @@ def _posterior(model: CategoryModel, tokens: list[str]) -> list[float]:
             raise ValueError("model has an empty vocabulary")
         rows = map(model.term_rows.get, tokens, repeat(model.unseen_row))
         log_likes = [prior + total / n for prior, total in zip(log_likes, map(sum, zip(*rows)))]
-    return _softmax(log_likes)
+    return dict(zip(model.databases, _softmax(log_likes)))
 
 
 def _softmax(values: Sequence[float]) -> list[float]:
@@ -269,44 +244,18 @@ def _softmax(values: Sequence[float]) -> list[float]:
 
 
 def apply_triggers(
-    score: TextScore, tokens: list[str], config: TextClassifierConfig
-) -> TextScore:
-    """Boost the score of any database whose trigger terms appear in ``tokens``."""
-    if not config.triggers:
-        return score
-    per_db = dict(score.per_db_score)
-    triggered = dict(score.triggered)
-    for db in _boost(per_db, tokens, config):
-        triggered[db] = True
-    return TextScore(
-        per_db_score=per_db,
-        token_count=score.token_count,
-        classifiable=score.classifiable,
-        triggered=triggered,
-    )
-
-
-def boosted_scores(
-    model: CategoryModel, config: TextClassifierConfig, tokens: list[str]
+    scores: dict[str, float], tokens: list[str], config: TextClassifierConfig
 ) -> dict[str, float]:
-    """``apply_triggers(score_text(model, config, tokens), tokens, config).per_db_score``.
+    """Boost the score of any database whose trigger terms appear in ``tokens``.
 
-    The same scores through the same helpers, without building the two
-    :class:`TextScore` objects.
+    Without triggers ``scores`` itself is returned; otherwise a copy with
+    the trigger boost added, capped at 1.  ``scores`` is never changed.
     """
-    scores = dict(zip(model.databases, _posterior(model, tokens)))
-    _boost(scores, tokens, config)
-    return scores
-
-
-def _boost(
-    per_db: dict[str, float], tokens: list[str], config: TextClassifierConfig
-) -> list[str]:
-    """Add the trigger boost, capped at 1, to ``per_db`` in place; return the boosted databases."""
     if not config.triggers:
-        return []
+        return scores
     present = set(tokens)
-    hits = [db for db, terms in config.triggers.items() if db in per_db and terms & present]
-    for db in hits:
-        per_db[db] = min(1.0, per_db[db] + config.trigger_boost)
-    return hits
+    boosted = dict(scores)
+    for db, terms in config.triggers.items():
+        if db in boosted and terms & present:
+            boosted[db] = min(1.0, boosted[db] + config.trigger_boost)
+    return boosted

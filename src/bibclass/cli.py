@@ -65,7 +65,10 @@ def _integer(minimum: int) -> Callable[[str, str], int]:
 
 
 def _real(low: float, high: float, low_open: bool = False) -> Callable[[str, str], float]:
-    """The rule of a finite real flag in [low, high], or (low, high] with ``low_open``."""
+    """The rule of a finite real flag in [low, high], or (low, high] with ``low_open``.
+
+    A signed zero is read as 0.0, so ``-0`` and ``0`` name the same value.
+    """
 
     def parse(value: str, flag: str) -> float:
         try:
@@ -77,7 +80,7 @@ def _real(low: float, high: float, low_open: bool = False) -> Callable[[str, str
         if out < low or out > high or (low_open and out == low):
             bounds = f"({low}, {high}]" if low_open else f"[{low}, {high}]"
             raise UsageError(f"{flag} must be in {bounds}, got {out}")
-        return out
+        return out + 0.0  # -0.0 + 0.0 is 0.0
 
     return parse
 

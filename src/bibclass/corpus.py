@@ -3,12 +3,15 @@
 File formats:
 
 * records: one JSON object per line with keys ``id`` (no tab or line
-  boundary), ``title``, ``year`` and optional ``abstract``, ``journal``,
-  ``labels`` (no tab, comma or line boundary, no whitespace at either end).
+  boundary, no whitespace at either end), ``title``, ``year`` and optional
+  ``abstract``, ``journal``, ``labels`` (no tab, comma or line boundary, no
+  whitespace at either end).
 * citations: ``citing_id<TAB>cited_id`` edge list; ``#`` comments allowed.
 * memberships: ``record_id<TAB>db1,db2,...`` naming the databases a citing
   paper already belongs to; ``#`` comments allowed.
 * model: versioned text format, header line ``bibclass-model v1``.
+
+The citations and memberships readers strip whitespace from every cell.
 
 Every file is read through :func:`~bibclass.errors.read_lines`: UTF-8
 with an optional byte-order mark, lines ending only at ``\n``, ``\r\n``
@@ -113,6 +116,8 @@ def _parse_record_line(line: str) -> BibRecord | None:
     year = obj.get("year")
     if not _is_cell(rid):
         return None  # a tab or line boundary would split the id's row in assignments.tsv
+    if rid != rid.strip():
+        return None  # the citations and memberships readers strip ids, so none could name it
     if not isinstance(title, str) or not title.strip():
         return None
     if not isinstance(year, int) or isinstance(year, bool):
@@ -184,13 +189,12 @@ def load_citations(
     """
     memberships = memberships or {}
     citers: dict[str, set[str]] = {}
-    seen_edges: set[tuple[str, str]] = set()
     kept = duplicates = self_citations = unknown = 0
     for lineno, line in read_lines(path, "citations file"):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        parts = stripped.split("\t")
+        parts = [p.strip() for p in stripped.split("\t")]
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise DataError(f"malformed citation edge at {path}:{lineno}")
         citing, cited = parts
@@ -201,10 +205,9 @@ def load_citations(
         if citing not in known_ids:
             unknown += 1
             continue
-        if (citing, cited) in seen_edges:
+        if citing in citers.get(cited, ()):
             duplicates += 1
             continue
-        seen_edges.add((citing, cited))
         citers.setdefault(cited, set()).add(citing)
         kept += 1
     graph_memberships = {}

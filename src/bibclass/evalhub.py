@@ -2,9 +2,9 @@
 
 Every record is scored once per classifier: its filtered token count and
 per-database text score (:func:`text_score_table`), its citer count and
-per-database citation ratio (:func:`citation_score_table`).  Text scores
-come from :func:`~bibclass.bayes.boosted_scores`, ``score_text``'s scores
-with ``apply_triggers``' boost, without a score object per record.  A
+per-database citation ratio (:func:`citation_score_table`).  A text score
+is :func:`~bibclass.bayes.score_text`'s posterior with
+:func:`~bibclass.bayes.apply_triggers`' boost, one dict per record.  A
 decision point then turns each classifier's rows into bitmasks over the
 records (one Python int, bit ``i`` for ``records[i]``) through one rule,
 count at least the gate and value at least the threshold
@@ -28,8 +28,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from bibclass.bayes import (
     CategoryModel,
     TextClassifierConfig,
-    boosted_scores,
+    apply_triggers,
     record_text,
+    score_text,
 )
 from bibclass.citegraph import CitationClassifierConfig, CitationGraph
 from bibclass.corpus import BibRecord, write_text_atomic
@@ -117,7 +118,8 @@ def text_score_table(
     table = []
     for record in records:
         tokens = filter_tokens(tokenize(record_text(record)), tokenizer_config)
-        table.append((len(tokens), boosted_scores(model, text_config, tokens)))
+        scores = apply_triggers(score_text(model, text_config, tokens), tokens, text_config)
+        table.append((len(tokens), scores))
     return table
 
 

@@ -74,7 +74,7 @@ def test_criterion_1_text_scores_match_brute_force():
             stats = oracles.nb_stats(train, databases)
             for _ in range(5):
                 query = synth.toy_query(rng, vocab)
-                got = score_text(model, TextClassifierConfig(), query).per_db_score
+                got = score_text(model, TextClassifierConfig(), query)
                 want = oracles.nb_scores_from(stats, query, alpha)
                 for db in databases:
                     assert math.isclose(got[db], want[db], rel_tol=1e-9, abs_tol=0.0)
@@ -232,11 +232,11 @@ def test_criterion_5_normalization_and_duplication_invariance(bench_model):
                 rng.choice(rng.choice(pools)) for _ in range(rng.randint(1, 60))
             ]
             score = score_text(bench_model, config, tokens)
-            assert math.isclose(sum(score.per_db_score.values()), 1.0, abs_tol=1e-9)
+            assert math.isclose(sum(score.values()), 1.0, abs_tol=1e-9)
             doubled = score_text(bench_model, config, tokens + tokens)
-            top = max(bench_model.databases, key=lambda db: score.per_db_score[db])
+            top = max(bench_model.databases, key=lambda db: score[db])
             top_doubled = max(
-                bench_model.databases, key=lambda db: doubled.per_db_score[db]
+                bench_model.databases, key=lambda db: doubled[db]
             )
             assert top == top_doubled
 

@@ -11,7 +11,6 @@ from bibclass.bayes import (
     CategoryModel,
     TextClassifierConfig,
     apply_triggers,
-    boosted_scores,
     build_model,
     record_text,
     score_text,
@@ -210,21 +209,20 @@ class TestScoreTextProperties:
             with pytest.raises(ValueError, match="empty vocabulary"):
                 score_text(model, TextClassifierConfig(), tokens)
             return
-        got = score_text(model, TextClassifierConfig(), tokens).per_db_score
+        got = score_text(model, TextClassifierConfig(), tokens)
         assert got == per_token_scores(model, tokens)
 
 
 class TestScoreText:
     def test_scores_sum_to_one(self):
-        score = score_text(toy_model(), TextClassifierConfig(), ["galaxy", "star"])
-        assert sum(score.per_db_score.values()) == pytest.approx(1.0, abs=1e-12)
+        scores = score_text(toy_model(), TextClassifierConfig(), ["galaxy", "star"])
+        assert sum(scores.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_no_tokens_returns_priors(self):
-        score = score_text(toy_model(), TextClassifierConfig(), [])
-        assert score.per_db_score["astro"] == pytest.approx(2 / 3, rel=1e-12)
-        assert score.per_db_score["phys"] == pytest.approx(1 / 3, rel=1e-12)
-        assert score.token_count == 0
-        assert not score.classifiable
+        scores = score_text(toy_model(), TextClassifierConfig(), [])
+        assert list(scores) == ["astro", "phys"]
+        assert scores["astro"] == pytest.approx(2 / 3, rel=1e-12)
+        assert scores["phys"] == pytest.approx(1 / 3, rel=1e-12)
 
     def test_zero_prior_database_scores_zero(self):
         model = CategoryModel(
@@ -233,22 +231,16 @@ class TestScoreText:
             total_tokens={"astro": 2, "empty": 0},
             doc_counts={"astro": 1, "empty": 0},
         )
-        score = score_text(model, TextClassifierConfig(), ["galaxy"])
-        assert score.per_db_score["empty"] == 0.0
-        assert score.per_db_score["astro"] == pytest.approx(1.0)
+        scores = score_text(model, TextClassifierConfig(), ["galaxy"])
+        assert scores["empty"] == 0.0
+        assert scores["astro"] == pytest.approx(1.0)
 
     def test_length_normalization_keeps_scores_stable_under_repetition(self):
         model = toy_model()
         once = score_text(model, TextClassifierConfig(), ["galaxy", "star"])
         thrice = score_text(model, TextClassifierConfig(), ["galaxy", "star"] * 3)
         for db in model.databases:
-            assert once.per_db_score[db] == pytest.approx(thrice.per_db_score[db], rel=1e-12)
-
-    def test_classifiable_tracks_min_words(self):
-        model = toy_model()
-        config = TextClassifierConfig(min_words=3)
-        assert not score_text(model, config, ["galaxy", "star"]).classifiable
-        assert score_text(model, config, ["galaxy", "star", "quasar"]).classifiable
+            assert once[db] == pytest.approx(thrice[db], rel=1e-12)
 
     def test_empty_model_rejected(self):
         model = CategoryModel(
@@ -270,7 +262,7 @@ class TestScoreText:
             ]
             model = build_model(records, databases, PLAIN)
             query = [rng.choice(vocab + ["unseen"]) for _ in range(rng.randint(0, 30))]
-            got = score_text(model, TextClassifierConfig(), query).per_db_score
+            got = score_text(model, TextClassifierConfig(), query)
             want = oracles.nb_scores(train, databases, query)
             for db in databases:
                 assert math.isclose(got[db], want[db], rel_tol=1e-9, abs_tol=0.0)
@@ -283,10 +275,8 @@ class TestTriggers:
         )
         base = score_text(toy_model(), config, ["galaxy", "supernova"])
         boosted = apply_triggers(base, ["galaxy", "supernova"], config)
-        assert boosted.per_db_score["astro"] == pytest.approx(
-            min(1.0, base.per_db_score["astro"] + 0.25)
-        )
-        assert boosted.triggered == {"astro": True, "phys": False}
+        assert boosted["astro"] == pytest.approx(min(1.0, base["astro"] + 0.25))
+        assert boosted["phys"] == base["phys"]
 
     def test_absent_trigger_changes_nothing(self):
         config = TextClassifierConfig(triggers={"astro": frozenset({"supernova"})})
@@ -296,7 +286,7 @@ class TestTriggers:
     def test_no_triggers_returns_an_equal_score(self):
         config = TextClassifierConfig()
         base = score_text(toy_model(), config, ["galaxy", "supernova"])
-        assert apply_triggers(base, ["galaxy", "supernova"], config) == base
+        assert apply_triggers(base, ["galaxy", "supernova"], config) is base
 
     def test_boost_caps_at_one(self):
         config = TextClassifierConfig(
@@ -304,7 +294,7 @@ class TestTriggers:
         )
         base = score_text(toy_model(), config, ["galaxy"])
         boosted = apply_triggers(base, ["galaxy"], config)
-        assert boosted.per_db_score["astro"] == 1.0
+        assert boosted["astro"] == 1.0
 
     def test_trigger_for_unknown_database_is_ignored(self):
         config = TextClassifierConfig(triggers={"nope": frozenset({"galaxy"})})
@@ -324,10 +314,16 @@ class TestTriggers:
         ],
     )
     @pytest.mark.parametrize("tokens", [[], ["galaxy"], ["galaxy", "supernova", "quasar"]])
-    def test_boosted_scores_equal_the_score_object_route(self, triggers, tokens):
+    def test_boost_leaves_its_input_unchanged(self, triggers, tokens):
         config = TextClassifierConfig(triggers=triggers, trigger_boost=0.5)
-        expected = apply_triggers(score_text(toy_model(), config, tokens), tokens, config)
-        assert boosted_scores(toy_model(), config, tokens) == expected.per_db_score
+        base = score_text(toy_model(), config, tokens)
+        before = dict(base)
+        boosted = apply_triggers(base, tokens, config)
+        assert base == before
+        assert list(boosted) == list(base)
+        for db in base:
+            hit = bool(triggers.get(db, frozenset()) & set(tokens))
+            assert boosted[db] == (min(1.0, base[db] + 0.5) if hit else base[db])
 
 
 def classify_text(model, config, tokenizer_config, rec):

@@ -355,6 +355,29 @@ class TestSweep:
         assert len(lines) == 5
         assert lines[1].startswith("text,astro,1,0.250000,")
 
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_signed_zero_is_read_as_zero(self, workspace, monkeypatch, from_config):
+        model = build(workspace)
+
+        def grid(st_values):
+            out = workspace / "grid.csv"
+            argv = ["sweep", "--records", str(workspace / "test.jsonl"), "--model", str(model)]
+            argv += ["--mode", "text", "--db", "astro", "--nt", "1", "--grid-out", str(out)]
+            if from_config:
+                config = workspace / "config.txt"
+                config.write_text(f"st = {st_values}\n", encoding="utf-8")
+                monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(config))
+            else:
+                monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+                argv.append(f"--st={st_values}")
+            assert cli.run(argv) == 0
+            return out.read_bytes()
+
+        signed = grid("-0,0.25")
+        assert b"-0.000000" not in signed
+        assert b"text,astro,1,0.000000," in signed
+        assert signed == grid("0,-0,0.25")
+
     @pytest.mark.parametrize("mode", ["text", "citation", "combined"])
     @pytest.mark.parametrize("command", ["evaluate", "sweep"])
     def test_unknown_db_is_data_error_before_scoring(

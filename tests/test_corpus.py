@@ -85,6 +85,9 @@ class TestLoadRecords:
             json.dumps({"id": "x", "title": "t", "year": 1, "labels": [" astro"]}),
             json.dumps({"id": "x", "title": "t", "year": 1, "labels": ["astro "]}),
             json.dumps({"id": "x", "title": "t", "year": 1, "labels": ["  "]}),
+            # The citations and memberships readers strip ids, so no edge could cite these.
+            json.dumps({"id": " r1", "title": "t", "year": 1, "labels": []}),
+            json.dumps({"id": "r1 ", "title": "t", "year": 1, "labels": []}),
         ],
     )
     def test_malformed_lines_are_skipped_and_counted(self, tmp_path, line):
@@ -172,6 +175,15 @@ class TestLoadCitations:
         assert stats.duplicates == 1
         assert stats.self_citations == 1
         assert stats.unknown_citers == 1
+
+    @pytest.mark.parametrize("line", ["c1 \tr1", "c1\t r1", " c1 \t r1 "])
+    def test_cells_are_stripped(self, tmp_path, line):
+        path = tmp_path / "c.tsv"
+        write_lines(path, [line])
+        graph, stats = load_citations(path, {"c1", "r1"}, {}, ())
+        assert graph.citers == {"r1": frozenset({"c1"})}
+        assert stats.edges_kept == 1
+        assert stats.unknown_citers == 0
 
     def test_malformed_edge_aborts(self, tmp_path):
         path = tmp_path / "c.tsv"

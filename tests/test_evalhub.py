@@ -104,7 +104,7 @@ def reference_text_table(records, model, text_config, tokenizer_config):
     for r in records:
         tokens = filter_tokens(tokenize(record_text(r)), tokenizer_config)
         score = apply_triggers(score_text(model, text_config, tokens), tokens, text_config)
-        table.append((len(tokens), score.per_db_score))
+        table.append((len(tokens), score))
     return table
 
 
