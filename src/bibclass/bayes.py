@@ -44,9 +44,9 @@ class CategoryModel:
     the log of its :func:`term_probability` in each database, in
     ``databases`` order), ``unseen_row`` (that row for a term no database
     saw) and ``log_priors`` (the log of each database's share of the
-    documents, ``-inf`` for a database without any).  The rows are empty for
-    an empty vocabulary, and the priors for a model without documents.
-    Instances are treated as immutable once built.
+    documents, ``-inf`` for a database without any).  A model without
+    training documents or without terms cannot score a record, so it cannot
+    be constructed either.  Instances are treated as immutable once built.
     """
 
     databases: tuple[str, ...]
@@ -54,12 +54,10 @@ class CategoryModel:
     total_tokens: dict[str, int]
     doc_counts: dict[str, int]
     smoothing_alpha: float = 1.0
-    vocabulary_size: int = field(init=False, default=0)
-    term_rows: dict[str, tuple[float, ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    unseen_row: tuple[float, ...] = field(init=False, repr=False, compare=False, default=())
-    log_priors: tuple[float, ...] = field(init=False, repr=False, compare=False, default=())
+    vocabulary_size: int = field(init=False)
+    term_rows: dict[str, tuple[float, ...]] = field(init=False, repr=False, compare=False)
+    unseen_row: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    log_priors: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alpha = self.smoothing_alpha
@@ -85,15 +83,16 @@ class CategoryModel:
             if sum(counts.values()) != self.total_tokens[db]:
                 raise ValueError(f"total_tokens['{db}'] does not match its term counts")
         total_docs = self.total_docs
-        if total_docs:
-            priors = [self.doc_counts[db] / total_docs for db in self.databases]
-            self.log_priors = tuple(math.log(p) if p else -math.inf for p in priors)
+        if not total_docs:
+            raise ValueError("no training documents")
         vocab: set[str] = set()
         for db in self.databases:
             vocab.update(self.term_counts[db])
-        self.vocabulary_size = len(vocab)
         if not vocab:
-            return
+            raise ValueError("empty vocabulary")
+        priors = [self.doc_counts[db] / total_docs for db in self.databases]
+        self.log_priors = tuple(math.log(p) if p else -math.inf for p in priors)
+        self.vocabulary_size = len(vocab)
         terms = list(vocab)
         columns, unseen_logs = [], []
         for db in self.databases:
@@ -182,27 +181,24 @@ def build_model(
                 term_counts[db].update(counts)
                 total_tokens[db] += len(tokens)
                 doc_counts[db] += 1
+    if not any(term_counts.values()):
+        raise DataError(f"training produced an empty vocabulary ({used} labeled records)")
     for db in databases:
         if doc_counts[db] == 0:
             log.warning("no training records labeled '%s'; it keeps only smoothed mass", db)
-    model = CategoryModel(
+    return CategoryModel(
         databases=databases,
         term_counts={db: dict(term_counts[db]) for db in databases},
         total_tokens=total_tokens,
         doc_counts=doc_counts,
         smoothing_alpha=alpha,
     )
-    if model.vocabulary_size == 0:
-        raise DataError(f"training produced an empty vocabulary ({used} labeled records)")
-    return model
 
 
 def term_probability(model: CategoryModel, term: str, db: str) -> float:
     """Additively smoothed relative frequency of ``term`` in ``db``."""
     if db not in model.doc_counts:
         raise ValueError(f"unknown database '{db}'")
-    if model.vocabulary_size == 0:
-        raise ValueError("model has an empty vocabulary")
     alpha = model.smoothing_alpha
     return (model.term_counts[db].get(term, 0) + alpha) / (
         model.total_tokens[db] + alpha * model.vocabulary_size
@@ -223,12 +219,8 @@ def score_text(
     ``config`` is not read.
     """
     log_likes = model.log_priors
-    if not log_likes:
-        raise ValueError("model has no training documents")
     n = len(tokens)
     if n:
-        if not model.term_rows:
-            raise ValueError("model has an empty vocabulary")
         rows = map(model.term_rows.get, tokens, repeat(model.unseen_row))
         log_likes = [prior + total / n for prior, total in zip(log_likes, map(sum, zip(*rows)))]
     return dict(zip(model.databases, _softmax(log_likes)))
@@ -236,8 +228,6 @@ def score_text(
 
 def _softmax(values: Sequence[float]) -> list[float]:
     top = max(values)
-    if top == float("-inf"):
-        raise ValueError("all scores are -inf; no database has a nonzero prior")
     exps = [math.exp(v - top) for v in values]
     total = sum(exps)
     return [e / total for e in exps]

@@ -11,19 +11,22 @@ path as the text classifier's scores.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 
 @dataclass
 class CitationGraph:
     """Cited-id -> citing-ids mapping plus the citers' database memberships.
 
-    Every citing id gets a membership entry (possibly empty: papers that
-    cite corpus records without belonging to any database still count
-    toward citation totals).  Instances are immutable after construction.
+    ``memberships`` becomes a new dict holding exactly the citing ids, each
+    with its memberships from the mapping given, or an empty set (papers
+    that cite corpus records without belonging to any database still count
+    toward citation totals); the mapping given is not changed.  Instances
+    are immutable after construction.
     """
 
     citers: dict[str, frozenset[str]]
-    memberships: dict[str, frozenset[str]] = field(default_factory=dict)
+    memberships: Mapping[str, frozenset[str]] = field(default_factory=dict)
     databases: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -31,8 +34,10 @@ class CitationGraph:
         for cited, citing in self.citers.items():
             if cited in citing:
                 raise ValueError(f"self-citation in graph: '{cited}'")
-            for c in citing:
-                self.memberships.setdefault(c, frozenset())
+        given = self.memberships
+        self.memberships = {
+            c: given.get(c, frozenset()) for citing in self.citers.values() for c in citing
+        }
 
 
 @dataclass(frozen=True)

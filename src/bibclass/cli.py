@@ -260,7 +260,8 @@ def load_triggers(
     Terms are tokenized the same way documents are, so a hyphenated trigger
     matches the joined token it produces.  A term must tokenize to one word,
     or to one compound (its joined form followed by exactly its parts), and
-    a term the filters would remove can never fire: anything else is
+    the trigger is that word or joined form.  Anything else, and a trigger
+    the token filters remove on its own, which could never fire, is
     rejected outright.
     """
     triggers: dict[str, set[str]] = {}
@@ -285,8 +286,7 @@ def load_triggers(
                 f"trigger term '{term}' at {path}:{lineno} must be a single word "
                 "or hyphenated compound"
             )
-        tokens = filter_tokens(tokens, tokenizer_config)
-        if not tokens:
+        if not filter_tokens(tokens[:1], tokenizer_config):
             raise DataError(
                 f"trigger term '{term}' at {path}:{lineno} is removed by token filtering"
             )

@@ -187,7 +187,6 @@ def load_citations(
     corpus record nor a membership-file entry.  Drop counts are returned
     alongside the graph.
     """
-    memberships = memberships or {}
     citers: dict[str, set[str]] = {}
     kept = duplicates = self_citations = unknown = 0
     for lineno, line in read_lines(path, "citations file"):
@@ -210,13 +209,9 @@ def load_citations(
             continue
         citers.setdefault(cited, set()).add(citing)
         kept += 1
-    graph_memberships = {}
-    for citing_set in citers.values():
-        for c in citing_set:
-            graph_memberships[c] = memberships.get(c, frozenset())
     graph = CitationGraph(
         citers={cited: frozenset(s) for cited, s in citers.items()},
-        memberships=graph_memberships,
+        memberships=memberships or {},
         databases=databases,
     )
     stats = CitationLoadStats(
@@ -265,9 +260,8 @@ def save_model(model: CategoryModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> CategoryModel:
     """Read a model written by :func:`save_model`; round-trips are exact.
 
-    A model without training documents or without terms, neither of which
-    :func:`~bibclass.bayes.build_model` produces, cannot score a record and
-    is rejected as corrupt.
+    Whatever :class:`~bibclass.bayes.CategoryModel` refuses, such as a model
+    without training documents or without terms, is rejected as corrupt.
     """
     lines = read_lines(path, "model file")
     _, header = next(lines, (1, ""))
@@ -310,7 +304,7 @@ def load_model(path: str | Path) -> CategoryModel:
     if alpha is None:
         raise DataError(f"corrupt model file at {path}: missing alpha line")
     try:
-        model = CategoryModel(
+        return CategoryModel(
             databases=tuple(databases),
             term_counts=term_counts,
             total_tokens=total_tokens,
@@ -319,8 +313,3 @@ def load_model(path: str | Path) -> CategoryModel:
         )
     except (ValueError, OverflowError) as exc:
         raise DataError(f"corrupt model file {path}: {exc}") from exc
-    if model.total_docs == 0:
-        raise DataError(f"corrupt model file {path}: no training documents")
-    if model.vocabulary_size == 0:
-        raise DataError(f"corrupt model file {path}: empty vocabulary")
-    return model

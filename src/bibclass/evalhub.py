@@ -144,7 +144,7 @@ def citation_score_table(
         total = len(citing)
         hits = {db: 0 for db in graph.databases}
         for c in citing:
-            for db in graph.memberships.get(c, frozenset()):
+            for db in graph.memberships[c]:
                 if db in hits:
                     hits[db] += 1
         table.append((total, {db: hits[db] / total for db in hits}))

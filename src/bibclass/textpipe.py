@@ -11,10 +11,11 @@ lowercases the text and blanks every byte that cannot be part of a word,
 and ``split`` cuts the words out.  The Python loop over the words does
 more than append only for a word holding a hyphen, to expand the compound.
 
-Stop-phrase matching is compiled once per :class:`TokenizerConfig`: its
-constructor indexes the phrases by their first token, so filtering a
-record only tries the phrases that can start at each position, and a
-record with no phrase's first token skips phrase matching altogether.
+Stop lists are read once per :class:`TokenizerConfig`: its constructor
+tokenizes every stop word and phrase as text is tokenized, and indexes the
+phrases by their first token, so filtering a record only tries the phrases
+that can start at each position, and a record with no phrase's first token
+skips phrase matching altogether.
 """
 
 from __future__ import annotations
@@ -37,29 +38,30 @@ _WORD_BYTES = bytes(
 class TokenizerConfig:
     """Filtering rules applied to the raw token stream.
 
-    Stop words and phrases are normalized to lowercase on construction;
-    phrases may be single words or space-separated sequences.  The derived
-    ``phrase_index`` maps a phrase's first token to the phrases starting
-    with it, longest first and then lexicographic, so greedy matching
-    prefers the longest phrase; it takes no part in equality or hashing.
+    Every stop word and phrase is read with :func:`tokenize` on
+    construction, so an entry matches the tokens its own text would give:
+    ``Café`` removes ``cafe``, and ``et al.`` the tokens ``et al``.  A
+    phrase is stored as its tokens joined by single spaces.  A stop word is
+    its one token; one that gives several tokens, such as ``x-ray``, is
+    stored and matched as that phrase, and one that gives none is dropped.
+    The derived ``phrase_index`` maps a phrase's first token to the phrases
+    starting with it, longest first and then lexicographic, so greedy
+    matching prefers the longest phrase; it takes no part in equality or
+    hashing.
     """
 
     stop_words: frozenset[str] = frozenset()
     stop_phrases: frozenset[str] = frozenset()
-    min_token_length: int = 1
     phrase_index: dict[str, tuple[tuple[str, ...], ...]] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        if self.min_token_length < 1:
-            raise ValueError("min_token_length must be >= 1")
-        object.__setattr__(self, "stop_words", frozenset(w.lower() for w in self.stop_words))
-        object.__setattr__(self, "stop_phrases", frozenset(p.lower() for p in self.stop_phrases))
-        phrases = sorted(
-            (tuple(p.split()) for p in self.stop_phrases if p.split()),
-            key=lambda p: (-len(p), p),
-        )
+        words = [tokenize(w) for w in self.stop_words]
+        runs = [tokenize(p) for p in self.stop_phrases] + [w for w in words if len(w) > 1]
+        object.__setattr__(self, "stop_words", frozenset(w[0] for w in words if len(w) == 1))
+        object.__setattr__(self, "stop_phrases", frozenset(" ".join(r) for r in runs if r))
+        phrases = sorted((tuple(p.split()) for p in self.stop_phrases), key=lambda p: (-len(p), p))
         index: dict[str, list[tuple[str, ...]]] = {}
         for phrase in phrases:
             index.setdefault(phrase[0], []).append(phrase)
@@ -94,7 +96,7 @@ def tokenize(text: str) -> list[str]:
 
 
 def filter_tokens(tokens: list[str], config: TokenizerConfig) -> list[str]:
-    """Drop digit-only tokens, stop words, too-short tokens and stop phrases.
+    """Drop digit-only tokens, stop words and stop phrases.
 
     Phrase removal runs before and after the per-token filters: removing a
     token can make a phrase contiguous, and rescanning keeps the result
@@ -103,12 +105,11 @@ def filter_tokens(tokens: list[str], config: TokenizerConfig) -> list[str]:
     """
     index = config.phrase_index
     stop_words = config.stop_words
-    min_length = config.min_token_length
     phrased = not index.keys().isdisjoint(tokens)
     kept = [
         t
         for t in (_drop_phrases(tokens, index) if phrased else tokens)
-        if not t.isdigit() and t not in stop_words and len(t) >= min_length
+        if not t.isdigit() and t not in stop_words
     ]
     return _drop_phrases(kept, index) if phrased else kept
 
@@ -136,12 +137,16 @@ def _drop_phrases(
 
 
 def load_term_list(path: str | Path) -> list[str]:
-    """Read one term (or phrase) per line; blank lines and # comments ignored."""
+    """Read one term (or phrase) per line; blank lines and # comments ignored.
+
+    Terms are returned as written, stripped of surrounding whitespace;
+    :class:`TokenizerConfig` normalizes them.
+    """
     terms = []
     for _, line in read_lines(path, "term list"):
         line = line.strip()
         if line and not line.startswith("#"):
-            terms.append(line.lower())
+            terms.append(line)
     return terms
 
 

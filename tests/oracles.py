@@ -70,12 +70,12 @@ def drop_phrases_linear(tokens, stop_phrases):
     return tokens
 
 
-def filter_tokens_reference(tokens, stop_words, stop_phrases, min_token_length=1):
-    """Phrase pass, per-token filters (digits, stop words, length), phrase pass."""
+def filter_tokens_reference(tokens, stop_words, stop_phrases):
+    """Phrase pass, per-token filters (digits, stop words), phrase pass."""
     kept = [
         t
         for t in drop_phrases_linear(tokens, stop_phrases)
-        if not t.isdigit() and t not in stop_words and len(t) >= min_token_length
+        if not t.isdigit() and t not in stop_words
     ]
     return drop_phrases_linear(kept, stop_phrases)
 
@@ -85,17 +85,12 @@ def text_scores_reference(model, tokens):
 
     Each token's smoothed frequency in each database is computed afresh and
     its log summed in token order; the vocabulary is re-derived from the
-    counts.  Raises ValueError as scoring does for a model without
-    documents, or without terms when there are tokens to score.
+    counts.
     """
     databases = model.databases
     total_docs = sum(model.doc_counts[db] for db in databases)
-    if total_docs == 0:
-        raise ValueError("model has no training documents")
     vocab = {t for db in databases for t, c in model.term_counts[db].items() if c}
     n = len(tokens)
-    if n and not vocab:
-        raise ValueError("model has an empty vocabulary")
     alpha = model.smoothing_alpha
     log_likes = []
     for db in databases:
@@ -115,7 +110,7 @@ def text_scores_reference(model, tokens):
     return {db: e / total for db, e in zip(databases, exps)}
 
 
-def text_table_reference(records, model, triggers, boost, stop_words, stop_phrases, min_length):
+def text_table_reference(records, model, triggers, boost, stop_words, stop_phrases):
     """Token count and boosted scores per record, in record order, through the references only.
 
     Tokens come from :func:`tokenize_reference` and
@@ -125,9 +120,7 @@ def text_table_reference(records, model, triggers, boost, stop_words, stop_phras
     table = []
     for r in records:
         text = r.title + " " + (r.abstract or "")
-        tokens = filter_tokens_reference(
-            tokenize_reference(text), stop_words, stop_phrases, min_length
-        )
+        tokens = filter_tokens_reference(tokenize_reference(text), stop_words, stop_phrases)
         scores = text_scores_reference(model, tokens)
         for db, terms in triggers.items():
             if db in scores and set(terms) & set(tokens):

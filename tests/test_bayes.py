@@ -130,19 +130,24 @@ class TestLogTables:
         )
         assert model.log_priors == (0.0, -math.inf)
 
-    def test_degenerate_models_have_empty_tables(self):
-        no_docs = CategoryModel(
-            databases=("astro",),
-            term_counts={"astro": {"galaxy": 1}},
-            total_tokens={"astro": 1},
-            doc_counts={"astro": 0},
-        )
-        assert no_docs.log_priors == () and no_docs.term_rows
-        no_terms = CategoryModel(
-            databases=("astro",), term_counts={}, total_tokens={}, doc_counts={"astro": 3}
-        )
-        assert no_terms.term_rows == {} and no_terms.unseen_row == ()
-        assert no_terms.log_priors == (0.0,)
+    @pytest.mark.parametrize(
+        "databases,term_counts,doc_counts,message",
+        [
+            (("astro", "phys"), {"astro": {"galaxy": 1}}, {"astro": 0}, "no training documents"),
+            (("astro",), {"astro": {"galaxy": 0}}, {"astro": 3}, "empty vocabulary"),
+            ((), {}, {}, "no training documents"),
+        ],
+    )
+    def test_model_that_cannot_score_is_refused(
+        self, databases, term_counts, doc_counts, message
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CategoryModel(
+                databases=databases,
+                term_counts=term_counts,
+                total_tokens={db: sum(c.values()) for db, c in term_counts.items()},
+                doc_counts=doc_counts,
+            )
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_non_finite_or_non_positive_alpha_rejected(self, alpha):
@@ -187,6 +192,9 @@ def random_models(draw):
     # Zero-document databases are allowed as long as one database has documents.
     doc_counts = {db: draw(st.integers(0, 5)) for db in databases}
     doc_counts[databases[-1]] = max(1, doc_counts[databases[-1]])
+    # Likewise one term needs a positive count.
+    term = draw(st.sampled_from(_TERMS))
+    term_counts[databases[0]][term] = max(1, term_counts[databases[0]].get(term, 0))
     return CategoryModel(
         databases=databases,
         term_counts=term_counts,
@@ -205,10 +213,6 @@ class TestScoreTextProperties:
     )
     @settings(max_examples=300, deadline=None)
     def test_equals_per_token_term_probability_exactly(self, model, tokens):
-        if tokens and model.vocabulary_size == 0:
-            with pytest.raises(ValueError, match="empty vocabulary"):
-                score_text(model, TextClassifierConfig(), tokens)
-            return
         got = score_text(model, TextClassifierConfig(), tokens)
         assert got == per_token_scores(model, tokens)
 
@@ -241,16 +245,6 @@ class TestScoreText:
         thrice = score_text(model, TextClassifierConfig(), ["galaxy", "star"] * 3)
         for db in model.databases:
             assert once[db] == pytest.approx(thrice[db], rel=1e-12)
-
-    def test_empty_model_rejected(self):
-        model = CategoryModel(
-            databases=("astro",),
-            term_counts={"astro": {"galaxy": 1}},
-            total_tokens={"astro": 1},
-            doc_counts={"astro": 0},
-        )
-        with pytest.raises(ValueError):
-            score_text(model, TextClassifierConfig(), ["galaxy"])
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(411)

@@ -94,6 +94,15 @@ class TestCitationDecision:
 
 
 class TestValidation:
+    def test_memberships_given_are_left_unchanged(self):
+        given = {"c1": frozenset({"astro"}), "x9": frozenset({"phys"})}
+        g = CitationGraph(
+            citers={"r1": frozenset({"c1", "c2"})}, memberships=given, databases=("astro",)
+        )
+        assert given == {"c1": frozenset({"astro"}), "x9": frozenset({"phys"})}
+        assert g.memberships == {"c1": frozenset({"astro"}), "c2": frozenset()}
+        assert g.memberships is not given
+
     def test_self_citation_rejected(self):
         with pytest.raises(ValueError):
             CitationGraph(citers={"r1": frozenset({"r1"})})

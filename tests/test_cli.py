@@ -791,6 +791,18 @@ class TestTriggers:
         with pytest.raises(DataError, match="1997"):
             cli.load_triggers(triggers, ("astro",), TokenizerConfig())
 
+    @pytest.mark.parametrize("term", ["X-ray", "x-RAY", "xray"])
+    def test_trigger_whose_joined_form_is_filtered_is_data_error(self, workspace, term):
+        # The parts survive the filters, but the trigger is the joined form:
+        # it must not fall back to "x".
+        triggers = workspace / "triggers.tsv"
+        triggers.write_text(f"# a comment\nastro\t{term}\n", encoding="utf-8")
+        config = TokenizerConfig(stop_words=frozenset({"xray"}))
+        with pytest.raises(
+            DataError, match=re.escape(f"{triggers}:2 is removed by token filtering")
+        ):
+            cli.load_triggers(triggers, ("astro",), config)
+
     @pytest.mark.parametrize("term", ["black hole", "galaxy,star", "x/ray", "x--ray"])
     def test_multi_word_trigger_is_data_error(self, workspace, term):
         triggers = workspace / "triggers.tsv"

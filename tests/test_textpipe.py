@@ -1,9 +1,11 @@
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bibclass.textpipe
 import oracles
 from bibclass.errors import DataError
 from bibclass.textpipe import (
@@ -72,9 +74,9 @@ class TestTokenize:
 
 
 class TestFilterTokens:
-    def test_drops_stop_words_digits_and_short_tokens(self):
-        config = TokenizerConfig(stop_words=frozenset({"the"}), min_token_length=2)
-        assert filter_tokens(["the", "galaxy", "1997", "x"], config) == ["galaxy"]
+    def test_drops_stop_words_and_digits(self):
+        config = TokenizerConfig(stop_words=frozenset({"the"}))
+        assert filter_tokens(["the", "galaxy", "1997", "x"], config) == ["galaxy", "x"]
 
     def test_keeps_alphanumeric_mixes(self):
         assert filter_tokens(["ngc4258", "4258"], TokenizerConfig()) == ["ngc4258"]
@@ -101,13 +103,47 @@ class TestFilterTokens:
         config = TokenizerConfig(stop_phrases=frozenset({"erratum"}))
         assert filter_tokens(["erratum", "galaxy"], config) == ["galaxy"]
 
-    def test_min_token_length_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            TokenizerConfig(min_token_length=0)
-
     def test_stop_lists_normalized_to_lowercase(self):
         config = TokenizerConfig(stop_words=frozenset({"THE"}))
         assert filter_tokens(["the"], config) == []
+
+    def test_stop_entries_are_tokenized_like_text(self):
+        config = TokenizerConfig(
+            stop_words=frozenset({"caf\u00e9", "x-ray", "--", "Na\u00efve"}),
+            stop_phrases=frozenset({"x-ray survey", "et al.", "  Book   REVIEW "}),
+        )
+        assert config.stop_words == {"cafe", "naive"}
+        assert config.stop_phrases == {"xray x ray survey", "et al", "book review", "xray x ray"}
+        assert config.phrase_index["xray"] == (
+            ("xray", "x", "ray", "survey"),
+            ("xray", "x", "ray"),
+        )
+
+    @pytest.mark.parametrize(
+        "text,kept",
+        [
+            ("An X-ray survey of stars", ["an", "of", "stars"]),
+            ("see et al. here", ["see", "here"]),
+            ("Caf\u00e9 au lait", ["au", "lait"]),
+            ("X-ray flux of an x ray xray", ["flux", "of", "an", "x", "ray", "xray"]),
+            ("a naive Na\u00efve book-review", ["a", "bookreview"]),
+        ],
+    )
+    def test_stop_entries_match_the_tokens_of_their_text(self, text, kept):
+        config = TokenizerConfig(
+            stop_words=frozenset({"caf\u00e9", "x-ray", "Na\u00efve"}),
+            stop_phrases=frozenset({"x-ray survey", "et al.", "Book Review"}),
+        )
+        assert filter_tokens(tokenize(text), config) == kept
+
+    def test_bundled_entries_are_already_in_token_form(self):
+        # So the bundled lists filter exactly as their lines read.
+        data = Path(bibclass.textpipe.__file__).with_name("data")
+        words = load_term_list(data / "stopwords.txt")
+        phrases = load_term_list(data / "stopphrases.txt")
+        config = default_tokenizer_config()
+        assert config.stop_words == set(words)
+        assert config.stop_phrases == set(phrases)
 
     def test_overlapping_phrases_match_longest_first(self):
         config = TokenizerConfig(
@@ -153,12 +189,7 @@ def token_lists(draw):
 def configs(draw):
     words = draw(st.sets(st.sampled_from(["the", "a", "of", "x"]), max_size=3))
     phrases = draw(st.sets(st.sampled_from(["a b", "b c", "galaxy c", "ab"]), max_size=3))
-    length = draw(st.integers(min_value=1, max_value=3))
-    return TokenizerConfig(
-        stop_words=frozenset(words),
-        stop_phrases=frozenset(phrases),
-        min_token_length=length,
-    )
+    return TokenizerConfig(stop_words=frozenset(words), stop_phrases=frozenset(phrases))
 
 
 _BUNDLED = default_tokenizer_config()
@@ -198,7 +229,6 @@ def stop_list_configs(draw):
     return TokenizerConfig(
         stop_words=frozenset(draw(st.sets(st.sampled_from(sorted(_BUNDLED.stop_words)), max_size=8))),
         stop_phrases=frozenset(draw(st.sets(st.sampled_from(_PHRASES), max_size=12))),
-        min_token_length=draw(st.integers(min_value=1, max_value=3)),
     )
 
 
@@ -206,9 +236,7 @@ class TestProperties:
     @given(tokens=stop_list_streams(), config=stop_list_configs())
     @settings(max_examples=400, deadline=None)
     def test_filtering_matches_linear_scan_reference(self, tokens, config):
-        want = oracles.filter_tokens_reference(
-            tokens, config.stop_words, config.stop_phrases, config.min_token_length
-        )
+        want = oracles.filter_tokens_reference(tokens, config.stop_words, config.stop_phrases)
         assert filter_tokens(tokens, config) == want
 
     @given(text=st.text(max_size=200))
@@ -243,8 +271,8 @@ class TestProperties:
 class TestTermLists:
     def test_loads_terms_skipping_comments_and_blanks(self, tmp_path):
         path = tmp_path / "stop.txt"
-        path.write_text("# comment\nThe\n\nof\n", encoding="utf-8")
-        assert load_term_list(path) == ["the", "of"]
+        path.write_text("# comment\n The \n\nof\n", encoding="utf-8")
+        assert load_term_list(path) == ["The", "of"]
 
     def test_missing_file_is_a_data_error(self, tmp_path):
         with pytest.raises(DataError):
