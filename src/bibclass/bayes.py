@@ -71,13 +71,17 @@ class CategoryModel:
             unknown = set(mapping) - known
             if unknown:
                 raise ValueError(f"counts reference unknown databases: {sorted(unknown)}")
+        # New dicts, one entry per database, so the caller's are left as given.
+        self.term_counts = {
+            db: {t: c for t, c in self.term_counts.get(db, {}).items() if c != 0}
+            for db in self.databases
+        }
+        self.total_tokens = {db: self.total_tokens.get(db, 0) for db in self.databases}
+        self.doc_counts = {db: self.doc_counts.get(db, 0) for db in self.databases}
         for db in self.databases:
-            counts = {t: c for t, c in self.term_counts.get(db, {}).items() if c != 0}
+            counts = self.term_counts[db]
             if any(c < 0 for c in counts.values()):
                 raise ValueError(f"negative term count in database '{db}'")
-            self.term_counts[db] = counts
-            self.total_tokens.setdefault(db, 0)
-            self.doc_counts.setdefault(db, 0)
             if self.total_tokens[db] < 0 or self.doc_counts[db] < 0:
                 raise ValueError(f"negative totals for database '{db}'")
             if sum(counts.values()) != self.total_tokens[db]:

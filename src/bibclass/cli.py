@@ -14,6 +14,7 @@ Explicit flags win over the config file, which wins over built-in defaults.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import math
 import os
@@ -492,6 +493,15 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s: %(message)s")
+    # One run is one short-lived process whose records, tables and
+    # assignments hold no reference cycles, so the cyclic collector only
+    # rescans them.  On a 40,330-record classify it ran about 520/47/4
+    # collections of generations 0/1/2 for 0.33-0.36 s, most of it in the
+    # four full ones, and found nothing it could free but argparse's parser
+    # (377 objects, at 4k records as at 40k).  Reference counting still
+    # frees everything else; run() and the library leave the collector as
+    # the caller set it.
+    gc.disable()
     sys.exit(run(sys.argv[1:]))
 
 

@@ -35,9 +35,10 @@ log = logging.getLogger(__name__)
 
 MODEL_FORMAT_VERSION = "v1"
 _MODEL_HEADER_PREFIX = "bibclass-model "
+_DECODER = json.JSONDecoder()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BibRecord:
     """One bibliographic item with its human-assigned database labels."""
 
@@ -105,11 +106,15 @@ def _parse_record_line(line: str) -> BibRecord | None:
     line = line.strip()
     if not line:
         return None
+    # raw_decode on the stripped line accepts exactly what json.loads does:
+    # no JSON whitespace is left at either end, and a leading byte-order
+    # mark fails both.  Hostile text raises RecursionError (deep nesting) or
+    # ValueError (an integer over the interpreter's digit limit).
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError:
+        obj, end = _DECODER.raw_decode(line)
+    except (ValueError, RecursionError):
         return None
-    if not isinstance(obj, dict):
+    if end != len(line) or not isinstance(obj, dict):
         return None
     rid = obj.get("id")
     title = obj.get("title")
@@ -139,14 +144,7 @@ def _parse_record_line(line: str) -> BibRecord | None:
         "".join((rid, title, abstract or "", journal or "", *labels)).encode("utf-8")
     except UnicodeEncodeError:
         return None  # a lone surrogate from a JSON escape, which no output file could hold
-    return BibRecord(
-        id=rid,
-        title=title,
-        year=year,
-        abstract=abstract,
-        journal=journal,
-        gold_labels=frozenset(labels),
-    )
+    return BibRecord(rid, title, year, abstract, journal, frozenset(labels))
 
 
 def _is_cell(value: object) -> bool:

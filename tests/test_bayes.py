@@ -130,6 +130,23 @@ class TestLogTables:
         )
         assert model.log_priors == (0.0, -math.inf)
 
+    def test_counts_given_are_left_unchanged(self):
+        term_counts = {"astro": {"galaxy": 1, "star": 0}}
+        total_tokens = {"astro": 1}
+        doc_counts = {"astro": 1}
+        model = CategoryModel(
+            databases=("astro", "phys"),
+            term_counts=term_counts,
+            total_tokens=total_tokens,
+            doc_counts=doc_counts,
+        )
+        assert term_counts == {"astro": {"galaxy": 1, "star": 0}}
+        assert total_tokens == {"astro": 1}
+        assert doc_counts == {"astro": 1}
+        assert model.term_counts == {"astro": {"galaxy": 1}, "phys": {}}
+        assert model.total_tokens == {"astro": 1, "phys": 0}
+        assert model.doc_counts == {"astro": 1, "phys": 0}
+
     @pytest.mark.parametrize(
         "databases,term_counts,doc_counts,message",
         [

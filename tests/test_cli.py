@@ -1,20 +1,32 @@
 import contextlib
+import gc
 import io
 import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import bibclass
 from bibclass import cli, evalhub
 from bibclass.corpus import save_model
 from bibclass.errors import DataError
 from bibclass.evalhub import Assignment
 from bibclass.textpipe import TokenizerConfig
+
+
+# Record lines the JSON decoder itself refuses: nesting past the recursion
+# limit, and an integer past the interpreter's digit limit.
+HOSTILE_LINES = [
+    "[" * 200_000 + "]" * 200_000,
+    '{"id": "big", "title": "galaxy star", "year": ' + "9" * 5000 + ', "labels": []}',
+]
 
 
 @pytest.fixture()
@@ -736,6 +748,62 @@ class TestInputEncoding:
             rc, captured, _, lineno = run(sep, [bad])
             assert rc in (1, 2)
             assert f"{path}:{lineno}" in captured.err
+
+
+class TestOneShotProcess:
+    def test_hostile_record_lines_are_skipped_without_a_traceback(self, workspace, capsys):
+        model = build(workspace)
+        clean = workspace / "test.jsonl"
+        dirty = workspace / "dirty.jsonl"
+        dirty.write_text(
+            clean.read_text(encoding="utf-8") + "".join(line + "\n" for line in HOSTILE_LINES),
+            encoding="utf-8",
+        )
+        clean_out = workspace / "clean.tsv"
+        argv = ["classify", "--model", str(model), "--mode", "text"]
+        capsys.readouterr()
+        assert cli.run([*argv, "--records", str(clean), "--out", str(clean_out)]) == 0
+        clean_stdout = capsys.readouterr().out
+        env = {k: v for k, v in os.environ.items() if k != cli.CONFIG_ENV_VAR}
+        env["PYTHONPATH"] = str(Path(bibclass.__file__).resolve().parent.parent)
+        dirty_out = workspace / "dirty.tsv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bibclass.cli", *argv, "--records", str(dirty)]
+            + ["--out", str(dirty_out)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("skipping malformed record line") == 2
+        assert dirty_out.read_bytes() == clean_out.read_bytes()
+        assert proc.stdout.replace(str(dirty_out), str(clean_out)) == clean_stdout.replace(
+            "(0 skipped)", "(2 skipped)"
+        )
+
+    def test_collector_finds_nothing_that_grows_with_the_input(self, bench, tmp_path):
+        # main() turns the cyclic collector off, which is sound only while a
+        # run leaves no per-record reference cycles behind.
+        paths = bench["paths"]
+        model = tmp_path / "model.txt"
+        assert cli.run(["build-model", "--records", str(paths["train"]), "--model", str(model)]) == 0
+        lines = paths["test"].read_text(encoding="utf-8").splitlines()
+        argv = ["classify", "--model", str(model), "--citations", str(paths["citations"])]
+        argv += ["--memberships", str(paths["memberships"]), "--out", str(tmp_path / "out.tsv")]
+        found = []
+        for size in (10, 1000):
+            records = tmp_path / f"records{size}.jsonl"
+            malformed = ["not json", *HOSTILE_LINES]
+            records.write_text("".join(f"{x}\n" for x in lines[:size] + malformed), "utf-8")
+            gc.collect()
+            gc.disable()
+            try:
+                assert cli.run([*argv, "--records", str(records)]) == 0
+                found.append(gc.collect())
+            finally:
+                gc.enable()
+        assert found[0] == found[1]
 
 
 class TestWorkers:

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import os
+import pickle
 
 import pytest
 
 from bibclass.bayes import CategoryModel
 from bibclass.corpus import (
+    BibRecord,
     load_citations,
     load_memberships,
     load_model,
@@ -88,6 +91,21 @@ class TestLoadRecords:
             # The citations and memberships readers strip ids, so no edge could cite these.
             json.dumps({"id": " r1", "title": "t", "year": 1, "labels": []}),
             json.dumps({"id": "r1 ", "title": "t", "year": 1, "labels": []}),
+            # Text the decoder refuses: too deeply nested, or an integer over
+            # the interpreter's limit on digits.
+            pytest.param("[" * 200_000 + "]" * 200_000, id="nested-200000-deep"),
+            pytest.param(
+                '{"id": "x", "title": "t", "year": ' + "9" * 5000 + ', "labels": []}',
+                id="year-of-5000-digits",
+            ),
+            # One object and nothing else: no trailing data, no second object,
+            # no byte-order mark after the first line.
+            json.dumps({"id": "x", "title": "t", "year": 1, "labels": []}) + " x",
+            json.dumps({"id": "x", "title": "t", "year": 1, "labels": []}) * 2,
+            "\ufeff" + json.dumps({"id": "x", "title": "t", "year": 1, "labels": []}),
+            # A year is an integer.
+            json.dumps({"id": "x", "title": "t", "year": 1997.0, "labels": []}),
+            '{"id": "x", "title": "t", "year": NaN, "labels": []}',
         ],
     )
     def test_malformed_lines_are_skipped_and_counted(self, tmp_path, line):
@@ -105,6 +123,14 @@ class TestLoadRecords:
         write_lines(path, [line])
         corpus = load_records(path)
         assert [r.id for r in corpus.records] == ["x\U0001f600"]
+        assert corpus.skipped == 0
+
+    def test_object_padded_with_unicode_spaces_is_kept(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        line = json.dumps({"id": "x", "title": "t", "year": 1, "labels": []})
+        write_lines(path, ["\u3000" + line + "\u3000 "])
+        corpus = load_records(path)
+        assert corpus.records == [BibRecord("x", "t", 1)]
         assert corpus.skipped == 0
 
     def test_duplicate_id_aborts(self, tmp_path):
@@ -129,6 +155,26 @@ class TestLoadRecords:
         )
         gold = {r.id: r.gold_labels for r in load_records(path)}
         assert gold == {"a": frozenset({"x", "y"}), "b": frozenset()}
+
+
+class TestBibRecord:
+    def test_fields_defaults_and_order(self):
+        record = BibRecord("a", "T", 1997)
+        assert [f.name for f in dataclasses.fields(BibRecord)] == [
+            "id", "title", "year", "abstract", "journal", "gold_labels"
+        ]
+        assert (record.abstract, record.journal, record.gold_labels) == (None, None, frozenset())
+        assert record == BibRecord(id="a", title="T", year=1997)
+
+    def test_immutable_hashable_slotted_and_picklable(self):
+        record = BibRecord("a", "T", 1997, "A", "J", frozenset({"astro"}))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.title = "U"
+        assert not hasattr(record, "__dict__")
+        assert hash(record) == hash(BibRecord("a", "T", 1997, "A", "J", frozenset({"astro"})))
+        assert record != BibRecord("a", "T", 1997, "A", "J")
+        clone = pickle.loads(pickle.dumps(record))
+        assert clone == record and hash(clone) == hash(record)
 
 
 class TestLoadMemberships:
