@@ -159,9 +159,12 @@ def build_model(
     """Count title+abstract tokens of labeled records into each labeled database.
 
     Records without gold labels are ignored.  A record labeled with several
-    databases contributes its full token counts to each of them.  A label
+    databases contributes its full token counts to each of them, and a
+    database named twice in one record's labels counts once.  A label
     outside the configured database set aborts the build, as does a corpus
-    that yields no vocabulary at all.
+    that yields no vocabulary at all.  Each record's filtered token list is
+    counted straight into every labeled database's ``Counter``, a C loop
+    over the list, with no per-record ``Counter`` to merge.
     """
     databases = tuple(databases)
     term_counts: dict[str, Counter[str]] = {db: Counter() for db in databases}
@@ -170,19 +173,19 @@ def build_model(
     known = set(databases)
     used = 0
     for record in records:
-        if not record.gold_labels:
+        labels = record.gold_labels
+        if not labels:
             continue
-        bad = set(record.gold_labels) - known
-        if bad:
+        if not known.issuperset(labels):
             raise DataError(
-                f"record '{record.id}' is labeled with unknown database(s) {sorted(bad)}"
+                f"record '{record.id}' is labeled with unknown database(s) "
+                f"{sorted(set(labels) - known)}"
             )
         tokens = filter_tokens(tokenize(record_text(record)), tokenizer_config)
-        counts = Counter(tokens)
         used += 1
         for db in databases:
-            if db in record.gold_labels:
-                term_counts[db].update(counts)
+            if db in labels:
+                term_counts[db].update(tokens)
                 total_tokens[db] += len(tokens)
                 doc_counts[db] += 1
     if not any(term_counts.values()):

@@ -13,14 +13,16 @@ more than append only for a word holding a hyphen, to expand the compound.
 
 Stop lists are read once per :class:`TokenizerConfig`: its constructor
 tokenizes every stop word and phrase as text is tokenized, and indexes the
-phrases by their first token, so filtering a record only tries the phrases
-that can start at each position, and a record with no phrase's first token
-skips phrase matching altogether.
+phrases by their first token.  A phrase pass finds the positions holding
+some phrase's first token with one C loop over the stream and tries only
+their phrases there, and a record with no phrase's first token skips
+phrase matching altogether.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, count
 from pathlib import Path
 from unicodedata import normalize
 
@@ -117,23 +119,30 @@ def filter_tokens(tokens: list[str], config: TokenizerConfig) -> list[str]:
 def _drop_phrases(
     tokens: list[str], index: dict[str, tuple[tuple[str, ...], ...]]
 ) -> list[str]:
-    # Rescan until a pass removes nothing; a removal can join a new phrase.
-    while not index.keys().isdisjoint(tokens):
+    """Remove stop phrases greedily, longest first, until a pass removes nothing.
+
+    A removal can join a new phrase, hence the repeated passes.  A pass
+    visits only the positions holding some phrase's first token, skips
+    those inside a phrase it just removed, and copies the tokens between
+    removed phrases as slices.
+    """
+    starts = index.__contains__
+    while True:
         out: list[str] = []
-        i = 0
-        while i < len(tokens):
-            for phrase in index.get(tokens[i], ()):
+        done = 0  # tokens[:done] are either copied to out or removed
+        for i in compress(count(), map(starts, tokens)):
+            if i < done:
+                continue
+            for phrase in index[tokens[i]]:
                 end = i + len(phrase)
                 if tuple(tokens[i:end]) == phrase:
-                    i = end
+                    out += tokens[done:i]
+                    done = end
                     break
-            else:
-                out.append(tokens[i])
-                i += 1
-        if len(out) == len(tokens):
-            return out
+        if not done:
+            return tokens
+        out += tokens[done:]
         tokens = out
-    return tokens
 
 
 def load_term_list(path: str | Path) -> list[str]:

@@ -72,8 +72,50 @@ class TestBuildModel:
         assert "noise" not in model.term_counts["astro"]
 
     def test_unknown_label_aborts(self):
-        with pytest.raises(DataError, match="x9"):
-            build_model([record("x9", "galaxy", ["mystery"])], ("astro",), PLAIN)
+        rec = record("x9", "galaxy", ["mystery", "astro", "aleph"])
+        with pytest.raises(DataError) as excinfo:
+            build_model([rec], ("astro",), PLAIN)
+        assert str(excinfo.value) == (
+            "record 'x9' is labeled with unknown database(s) ['aleph', 'mystery']"
+        )
+
+    def test_database_named_twice_in_a_label_list_counts_once(self):
+        labels = ["astro", "phys", "astro"]
+        rec = BibRecord(id="d1", title="galaxy star", year=1997, gold_labels=labels)
+        model = build_model([rec], ("astro", "phys"), PLAIN)
+        assert model.term_counts == {
+            "astro": {"galaxy": 1, "star": 1},
+            "phys": {"galaxy": 1, "star": 1},
+        }
+        assert model.total_tokens == {"astro": 2, "phys": 2}
+        assert model.doc_counts == {"astro": 1, "phys": 1}
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(["galaxy", "star", "quasar", "lattice"]), max_size=8),
+                st.sets(st.sampled_from(["astro", "phys", "helio"])),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_counts_equal_a_recount_exactly(self, rows):
+        # Rows are (tokens, labels): repeated tokens, no tokens, no labels
+        # and several labels all occur.
+        databases = ("astro", "phys", "helio")
+        records = [
+            record(f"r{i}", " ".join(tokens), labels) for i, (tokens, labels) in enumerate(rows)
+        ]
+        stats = oracles.nb_stats(rows, databases)
+        if not stats["v"]:
+            with pytest.raises(DataError, match="empty vocabulary"):
+                build_model(records, databases, PLAIN)
+            return
+        model = build_model(records, databases, PLAIN)
+        assert model.term_counts == {db: dict(stats["counts"][db]) for db in databases}
+        assert model.total_tokens == stats["totals"]
+        assert model.doc_counts == stats["docs"]
 
     def test_counts_use_title_and_abstract(self):
         rec = BibRecord(

@@ -234,6 +234,15 @@ def stop_list_configs(draw):
 
 class TestProperties:
     @given(tokens=stop_list_streams(), config=stop_list_configs())
+    # "y z" starts inside the removed "x y", so it must not match: ["z"] is left.
+    @example(
+        tokens=["x", "y", "z"], config=TokenizerConfig(stop_phrases=frozenset({"x y", "y z"}))
+    )
+    # The longest phrase wins: nothing is left, not ["gamma"].
+    @example(
+        tokens=["alpha", "beta", "gamma"],
+        config=TokenizerConfig(stop_phrases=frozenset({"alpha beta", "alpha beta gamma"})),
+    )
     @settings(max_examples=400, deadline=None)
     def test_filtering_matches_linear_scan_reference(self, tokens, config):
         want = oracles.filter_tokens_reference(tokens, config.stop_words, config.stop_phrases)
