@@ -11,29 +11,33 @@ path as the text classifier's scores.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import AbstractSet, Mapping
 
 
 @dataclass
 class CitationGraph:
     """Cited-id -> citing-ids mapping plus the citers' database memberships.
 
-    ``memberships`` becomes a new dict holding exactly the citing ids, each
-    with its memberships from the mapping given, or an empty set (papers
-    that cite corpus records without belonging to any database still count
-    toward citation totals); the mapping given is not changed.  Instances
-    are immutable after construction.
+    ``citers`` becomes a new dict holding each cited id's citing ids as a
+    frozenset.  ``memberships`` becomes a new dict holding exactly the
+    citing ids, each with its memberships from the mapping given, or an
+    empty set (papers that cite corpus records without belonging to any
+    database still count toward citation totals).  The mappings given are
+    not changed.  Instances are immutable after construction.
     """
 
-    citers: dict[str, frozenset[str]]
+    citers: Mapping[str, AbstractSet[str]]
     memberships: Mapping[str, frozenset[str]] = field(default_factory=dict)
     databases: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.databases = tuple(self.databases)
+        citers: dict[str, frozenset[str]] = {}
         for cited, citing in self.citers.items():
+            citing = citers[cited] = frozenset(citing)
             if cited in citing:
                 raise ValueError(f"self-citation in graph: '{cited}'")
+        self.citers = citers
         given = self.memberships
         self.memberships = {
             c: given.get(c, frozenset()) for citing in self.citers.values() for c in citing

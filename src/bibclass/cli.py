@@ -27,7 +27,6 @@ from bibclass import evalhub
 from bibclass.bayes import CategoryModel, TextClassifierConfig, build_model
 from bibclass.citegraph import CitationClassifierConfig, CitationGraph
 from bibclass.corpus import (
-    Corpus,
     load_citations,
     load_memberships,
     load_model,
@@ -35,11 +34,12 @@ from bibclass.corpus import (
     save_model,
     write_text_atomic,
 )
-from bibclass.errors import DataError, UsageError, read_lines
+from bibclass.errors import DataError, UsageError, read_entries
 from bibclass.evalhub import MODES, SweepGrids
 from bibclass.textpipe import (
+    BUNDLED_STOPPHRASES,
+    BUNDLED_STOPWORDS,
     TokenizerConfig,
-    default_tokenizer_config,
     filter_tokens,
     load_term_list,
     tokenize,
@@ -190,11 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for lineno, line in read_lines(path, "config file"):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
+    for lineno, line in read_entries(path, "config file"):
+        key, sep, value = line.strip().partition("=")
         if not sep:
             raise UsageError(f"bad config line at {path}:{lineno}: expected key=value")
         key = key.strip().replace("-", "_")
@@ -244,12 +241,10 @@ def _require(settings: dict[str, Any], key: str, command: str) -> str:
 
 
 def _tokenizer_config(settings: dict[str, Any]) -> TokenizerConfig:
-    base = default_tokenizer_config()
-    words = settings["stopwords"]
-    phrases = settings["stopphrases"]
+    """The stop lists the flags name, or the bundled list for a flag left unset."""
     return TokenizerConfig(
-        stop_words=frozenset(load_term_list(words)) if words else base.stop_words,
-        stop_phrases=frozenset(load_term_list(phrases)) if phrases else base.stop_phrases,
+        stop_words=frozenset(load_term_list(settings["stopwords"] or BUNDLED_STOPWORDS)),
+        stop_phrases=frozenset(load_term_list(settings["stopphrases"] or BUNDLED_STOPPHRASES)),
     )
 
 
@@ -266,11 +261,8 @@ def load_triggers(
     rejected outright.
     """
     triggers: dict[str, set[str]] = {}
-    for lineno, line in read_lines(path, "triggers file"):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split("\t")
+    for lineno, line in read_entries(path, "triggers file"):
+        parts = line.strip().split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise DataError(
                 f"malformed trigger line at {path}:{lineno}: expected database<TAB>term"
@@ -296,9 +288,11 @@ def load_triggers(
 
 
 def _load_classification_inputs(settings: dict[str, Any], command: str):
-    """Load everything classify/evaluate/sweep share; returns a dict of parts.
+    """Load everything classify/evaluate/sweep share.
 
-    A ``db`` setting must name one of the run's databases.
+    Returns ``(corpus, databases, inputs)``, ``inputs`` being the keyword
+    arguments ``classify_corpus``, ``evaluate`` and ``sweep`` share.  A
+    ``db`` setting must name one of the run's databases.
     """
     mode = settings["mode"]
     tokenizer_config = _tokenizer_config(settings)
@@ -319,7 +313,7 @@ def _load_classification_inputs(settings: dict[str, Any], command: str):
             databases = tuple(sorted({db for dbs in memberships.values() for db in dbs}))
             if not databases:
                 raise DataError("membership file names no databases")
-        known = set(memberships) | set(corpus.ids())
+        known = set(memberships) | corpus.ids()
         graph, stats = load_citations(
             _require(settings, "citations", command), known, memberships, databases
         )
@@ -349,19 +343,15 @@ def _load_classification_inputs(settings: dict[str, Any], command: str):
             triggers=triggers,
             trigger_boost=settings["boost"],
         )
-    return {
-        "corpus": corpus,
-        "databases": databases,
-        # The keyword arguments classify_corpus, evaluate and sweep share.
-        "inputs": dict(
-            mode=mode,
-            model=model,
-            text_config=text_config,
-            tokenizer_config=tokenizer_config,
-            graph=graph,
-            cite_config=cite_config,
-        ),
-    }
+    inputs = dict(
+        mode=mode,
+        model=model,
+        text_config=text_config,
+        tokenizer_config=tokenizer_config,
+        graph=graph,
+        cite_config=cite_config,
+    )
+    return corpus, databases, inputs
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +400,15 @@ def emit_assignments(
 
 
 def _cmd_classify(settings: dict[str, Any]) -> int:
-    parts = _load_classification_inputs(settings, "classify")
-    corpus: Corpus = parts["corpus"]
-    assignments = evalhub.classify_corpus(corpus.records, **parts["inputs"])
+    corpus, databases, inputs = _load_classification_inputs(settings, "classify")
+    assignments = evalhub.classify_corpus(corpus.records, **inputs)
     out = settings["out"]
-    emit_assignments(assignments, parts["databases"], out)
+    emit_assignments(assignments, databases, out)
     assigned = sum(1 for a in assignments if a.databases)
-    print(f"mode: {parts['inputs']['mode']}")
+    print(f"mode: {settings['mode']}")
     print(f"records: {len(assignments)} ({corpus.skipped} skipped)")
     print(f"assigned: {assigned} (unassigned: {len(assignments) - assigned})")
-    for db in parts["databases"]:
+    for db in databases:
         count = sum(1 for a in assignments if db in a.databases)
         print(f"assigned to {db}: {count}")
     print(f"wrote assignments: {out}")
@@ -427,11 +416,10 @@ def _cmd_classify(settings: dict[str, Any]) -> int:
 
 
 def _cmd_evaluate(settings: dict[str, Any]) -> int:
-    parts = _load_classification_inputs(settings, "evaluate")
-    corpus: Corpus = parts["corpus"]
+    corpus, _, inputs = _load_classification_inputs(settings, "evaluate")
     db = settings["db"]
-    reports = evalhub.evaluate(corpus.records, **parts["inputs"])
-    print(f"mode: {parts['inputs']['mode']}")
+    reports = evalhub.evaluate(corpus.records, **inputs)
+    print(f"mode: {settings['mode']}")
     print(f"records: {len(corpus.records)} ({corpus.skipped} skipped)")
     for rep in reports:
         if not db or rep.db == db:
@@ -444,10 +432,9 @@ def _cmd_evaluate(settings: dict[str, Any]) -> int:
 
 def _cmd_sweep(settings: dict[str, Any]) -> int:
     db = _require(settings, "db", "sweep")
-    parts = _load_classification_inputs(settings, "sweep")
-    corpus: Corpus = parts["corpus"]
+    corpus, _, inputs = _load_classification_inputs(settings, "sweep")
     grids = SweepGrids(settings["nt"], settings["st"], settings["nc"], settings["rc"])
-    grid = evalhub.sweep(corpus.records, grids, db=db, **parts["inputs"])
+    grid = evalhub.sweep(corpus.records, grids, db=db, **inputs)
     out = settings["grid_out"]
     evalhub.emit_grid_csv(grid, out)
     print(f"mode: {grid.mode}")

@@ -3,15 +3,15 @@
 File formats:
 
 * records: one JSON object per line with keys ``id`` (no tab or line
-  boundary, no whitespace at either end), ``title``, ``year`` and optional
-  ``abstract``, ``journal``, ``labels`` (no tab, comma or line boundary, no
-  whitespace at either end).
-* citations: ``citing_id<TAB>cited_id`` edge list; ``#`` comments allowed.
+  boundary, no whitespace at either end), ``title``, ``year``, ``labels``
+  (a list of database names) and optional ``abstract`` and ``journal``.
+* citations: ``citing_id<TAB>cited_id`` edge list.
 * memberships: ``record_id<TAB>db1,db2,...`` naming the databases a citing
-  paper already belongs to; ``#`` comments allowed.
+  paper already belongs to.
 * model: versioned text format, header line ``bibclass-model v1``.
 
-The citations and memberships readers strip whitespace from every cell.
+A database name must pass :func:`_is_label`.  The citations and memberships
+readers strip every cell and skip blank and ``#`` lines (``read_entries``).
 
 Every file is read through :func:`~bibclass.errors.read_lines`: UTF-8
 with an optional byte-order mark, lines ending only at ``\n``, ``\r\n``
@@ -29,7 +29,7 @@ from typing import Iterator, Mapping
 
 from bibclass.bayes import CategoryModel
 from bibclass.citegraph import CitationGraph
-from bibclass.errors import DataError, read_lines
+from bibclass.errors import DataError, read_entries, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -134,11 +134,7 @@ def _parse_record_line(line: str) -> BibRecord | None:
         return None
     if journal is not None and not isinstance(journal, str):
         return None
-    # A label is a cell of the model and assignments files and an item of a
-    # comma-separated memberships column, whose reader strips each item.
-    if not isinstance(labels, list) or not all(
-        _is_cell(x) and "," not in x and x == x.strip() for x in labels
-    ):
+    if not isinstance(labels, list) or not all(map(_is_label, labels)):
         return None
     try:
         "".join((rid, title, abstract or "", journal or "", *labels)).encode("utf-8")
@@ -152,22 +148,29 @@ def _is_cell(value: object) -> bool:
     return isinstance(value, str) and "\t" not in value and value.splitlines() == [value]
 
 
+def _is_label(value: object) -> bool:
+    """True for a database name: a cell with no comma and no whitespace at either end.
+
+    A name is a cell of the model and assignments files, and an item of a
+    memberships column, whose reader splits at commas and strips each item.
+    """
+    return _is_cell(value) and "," not in value and value == value.strip()
+
+
 def load_memberships(path: str | Path) -> dict[str, frozenset[str]]:
     """Read the ``record_id<TAB>db1,db2,...`` membership file.
 
     An id listed on several lines gets the union of its memberships; an
-    empty database column is allowed and records an empty membership.
+    empty database column is allowed and records an empty membership, but
+    a database name that is not a label makes the line malformed.
     """
     memberships: dict[str, set[str]] = {}
-    for lineno, line in read_lines(path, "membership file"):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, line in read_entries(path, "membership file"):
         parts = line.split("\t")
-        if len(parts) != 2 or not parts[0].strip():
+        dbs = {d.strip() for d in parts[-1].split(",") if d.strip()}
+        if len(parts) != 2 or not parts[0].strip() or not all(map(_is_label, dbs)):
             raise DataError(f"malformed membership line at {path}:{lineno}")
         rid = parts[0].strip()
-        dbs = {d.strip() for d in parts[1].split(",") if d.strip()}
         memberships.setdefault(rid, set()).update(dbs)
     return {rid: frozenset(dbs) for rid, dbs in memberships.items()}
 
@@ -187,11 +190,8 @@ def load_citations(
     """
     citers: dict[str, set[str]] = {}
     kept = duplicates = self_citations = unknown = 0
-    for lineno, line in read_lines(path, "citations file"):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = [p.strip() for p in stripped.split("\t")]
+    for lineno, line in read_entries(path, "citations file"):
+        parts = [p.strip() for p in line.strip().split("\t")]
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise DataError(f"malformed citation edge at {path}:{lineno}")
         citing, cited = parts
@@ -207,11 +207,7 @@ def load_citations(
             continue
         citers.setdefault(cited, set()).add(citing)
         kept += 1
-    graph = CitationGraph(
-        citers={cited: frozenset(s) for cited, s in citers.items()},
-        memberships=memberships or {},
-        databases=databases,
-    )
+    graph = CitationGraph(citers=citers, memberships=memberships or {}, databases=databases)
     stats = CitationLoadStats(
         edges_kept=kept,
         duplicates=duplicates,
@@ -285,6 +281,8 @@ def load_model(path: str | Path) -> CategoryModel:
                 alpha = float(parts[1])
             elif tag == "db" and len(parts) == 4:
                 current = parts[1]
+                if not _is_label(current):
+                    raise ValueError(f"bad database name {current!r}")
                 if current in term_counts:
                     raise ValueError("duplicate database block")
                 databases.append(current)

@@ -32,3 +32,15 @@ def read_lines(path: str | os.PathLike, what: str) -> Iterator[tuple[int, str]]:
                 yield lineno, line.rstrip("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_entries(path: str | os.PathLike, what: str) -> Iterator[tuple[int, str]]:
+    """The :func:`read_lines` pairs of a hand-edited file's entries.
+
+    Blank lines and lines whose first non-blank character is ``#`` are
+    skipped.  An entry is yielded as read, not stripped.
+    """
+    for lineno, line in read_lines(path, what):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, line

@@ -26,7 +26,7 @@ from itertools import compress, count
 from pathlib import Path
 from unicodedata import normalize
 
-from bibclass.errors import read_lines
+from bibclass.errors import read_entries
 
 # A translate table that lowercases ASCII letters and turns every other byte
 # outside [a-z0-9-] into a space, so splitting on whitespace leaves the words.
@@ -34,6 +34,10 @@ _WORD_CHARS = b"abcdefghijklmnopqrstuvwxyz0123456789-"
 _WORD_BYTES = bytes(
     b + 32 if 65 <= b <= 90 else b if b in _WORD_CHARS else 32 for b in range(256)
 )
+
+# The bundled stop lists, read where no other list is given.
+BUNDLED_STOPWORDS = Path(__file__).with_name("data") / "stopwords.txt"
+BUNDLED_STOPPHRASES = Path(__file__).with_name("data") / "stopphrases.txt"
 
 
 @dataclass(frozen=True)
@@ -151,18 +155,12 @@ def load_term_list(path: str | Path) -> list[str]:
     Terms are returned as written, stripped of surrounding whitespace;
     :class:`TokenizerConfig` normalizes them.
     """
-    terms = []
-    for _, line in read_lines(path, "term list"):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            terms.append(line)
-    return terms
+    return [line.strip() for _, line in read_entries(path, "term list")]
 
 
 def default_tokenizer_config() -> TokenizerConfig:
     """Tokenizer config backed by the packaged stop word and phrase lists."""
-    data = Path(__file__).with_name("data")
     return TokenizerConfig(
-        stop_words=frozenset(load_term_list(data / "stopwords.txt")),
-        stop_phrases=frozenset(load_term_list(data / "stopphrases.txt")),
+        stop_words=frozenset(load_term_list(BUNDLED_STOPWORDS)),
+        stop_phrases=frozenset(load_term_list(BUNDLED_STOPPHRASES)),
     )

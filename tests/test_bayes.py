@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -208,6 +209,24 @@ class TestLogTables:
                 doc_counts=doc_counts,
             )
 
+    @pytest.mark.parametrize(
+        "databases,term_counts,message",
+        [
+            (("astro", "astro"), {"astro": {"galaxy": 1}}, "database names must be unique"),
+            (("astro",), {"astro": {"galaxy": 1}, "phys": {}}, "unknown databases: ['phys']"),
+        ],
+    )
+    def test_database_names_must_be_unique_and_cover_the_counts(
+        self, databases, term_counts, message
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CategoryModel(
+                databases=databases,
+                term_counts=term_counts,
+                total_tokens={"astro": 1},
+                doc_counts={"astro": 1},
+            )
+
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_non_finite_or_non_positive_alpha_rejected(self, alpha):
         with pytest.raises(ValueError, match="smoothing_alpha"):
@@ -385,6 +404,20 @@ def classify_text(model, config, tokenizer_config, rec):
         [rec], mode="text", model=model, text_config=config, tokenizer_config=tokenizer_config
     )
     return a.via_text
+
+
+class TestTextClassifierConfig:
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"min_words": -1}, "min_words must be >= 0"),
+            ({"score_threshold": -0.1}, "score_threshold must be in [0, 1]"),
+            ({"score_threshold": 1.5}, "score_threshold must be in [0, 1]"),
+        ],
+    )
+    def test_out_of_range_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TextClassifierConfig(**kwargs)
 
 
 class TestTextDecision:

@@ -103,9 +103,20 @@ class TestValidation:
         assert g.memberships == {"c1": frozenset({"astro"}), "c2": frozenset()}
         assert g.memberships is not given
 
+    def test_citer_sets_given_are_frozen_into_a_new_dict(self):
+        given = {"r1": {"c1", "c2"}, "r2": {"c1"}}
+        g = CitationGraph(citers=given, databases=("astro",))
+        assert given == {"r1": {"c1", "c2"}, "r2": {"c1"}}
+        assert all(type(s) is set for s in given.values())
+        assert g.citers == {"r1": frozenset({"c1", "c2"}), "r2": frozenset({"c1"})}
+        assert all(type(s) is frozenset for s in g.citers.values())
+        assert g.citers is not given
+
     def test_self_citation_rejected(self):
         with pytest.raises(ValueError):
             CitationGraph(citers={"r1": frozenset({"r1"})})
+        with pytest.raises(ValueError):
+            CitationGraph(citers={"r1": {"c1", "r1"}})
 
     def test_min_citations_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -493,6 +493,112 @@ class TestDegenerateModel:
         assert not Path("out.tsv").exists() and not Path("grid.csv").exists()
 
 
+# Model files whose lines parse but whose counts or names are unusable, with
+# the message each is reported under.
+_CORRUPT_MODELS = {
+    "duplicate-db-block": (
+        "db\tastro\t1\t1\nt\tgalaxy\t1\ndb\tastro\t1\t1\nt\tstar\t1\n",
+        ":5: duplicate database block",
+    ),
+    "negative-term-count": (
+        "db\tastro\t1\t0\nt\tgalaxy\t-1\nt\tstar\t1\n",
+        "negative term count in database 'astro'",
+    ),
+    "negative-document-count": (
+        "db\tastro\t-1\t1\nt\tgalaxy\t1\ndb\tphys\t2\t1\nt\tquantum\t1\n",
+        "negative totals for database 'astro'",
+    ),
+    "total-unlike-its-terms": (
+        "db\tastro\t1\t3\nt\tgalaxy\t1\nt\tstar\t1\n",
+        "total_tokens['astro'] does not match its term counts",
+    ),
+    "comma-in-name": (
+        "db\tastro,phys\t1\t2\nt\tgalaxy\t2\ndb\t\t1\t1\nt\tstar\t1\n",
+        ":3: bad database name 'astro,phys'",
+    ),
+    "empty-name": ("db\t\t1\t1\nt\tstar\t1\n", ":3: bad database name ''"),
+    "padded-name": ("db\t astro\t1\t1\nt\tstar\t1\n", ":3: bad database name ' astro'"),
+    "next-line-in-name": (
+        "db\tastro\x85\t1\t1\nt\tstar\t1\n",
+        ":3: bad database name 'astro\\x85'",
+    ),
+}
+
+
+class TestCorruptModel:
+    @pytest.mark.parametrize("body", sorted(_CORRUPT_MODELS))
+    def test_is_a_data_error(self, workspace, monkeypatch, capsys, body):
+        monkeypatch.chdir(workspace)
+        lines, message = _CORRUPT_MODELS[body]
+        Path("model.txt").write_text("bibclass-model v1\nalpha\t1.0\n" + lines, encoding="utf-8")
+        rc = cli.run(
+            ["classify", "--mode", "text", "--records", "test.jsonl", "--model", "model.txt"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "error: corrupt model file" in captured.err
+        assert message in captured.err
+        assert captured.out == ""
+        assert not Path("assignments.tsv").exists()
+
+
+class TestMembershipFile:
+    def classify(self, workspace, body):
+        (workspace / "memberships.tsv").write_text(body, encoding="utf-8")
+        return cli.run(
+            [
+                "classify",
+                "--mode",
+                "citation",
+                "--records",
+                str(workspace / "test.jsonl"),
+                "--citations",
+                str(workspace / "citations.tsv"),
+                "--memberships",
+                str(workspace / "memberships.tsv"),
+                "--out",
+                str(workspace / "out.tsv"),
+            ]
+        )
+
+    def test_database_name_with_a_line_boundary_is_a_data_error(self, workspace, capsys):
+        rc = self.classify(workspace, "c1\tastro\u2028x\nc2\tastro\n")
+        assert rc == 2
+        assert "malformed membership line at" in capsys.readouterr().err
+        assert not (workspace / "out.tsv").exists()
+
+    def test_file_naming_no_databases_is_a_data_error(self, workspace, capsys):
+        rc = self.classify(workspace, "# no names\nc1\t\nc2\t , \n")
+        assert rc == 2
+        assert "error: membership file names no databases" in capsys.readouterr().err
+        assert not (workspace / "out.tsv").exists()
+
+
+class TestStopListFlags:
+    @pytest.mark.parametrize("words", [None, "words.txt"])
+    @pytest.mark.parametrize("phrases", [None, "phrases.txt"])
+    def test_each_list_comes_from_its_flag_or_the_bundled_file(self, tmp_path, words, phrases):
+        (tmp_path / "words.txt").write_text("# words\nGalaxy\n\nx-ray\n", encoding="utf-8")
+        (tmp_path / "phrases.txt").write_text("et al.\n", encoding="utf-8")
+        data = Path(bibclass.textpipe.__file__).with_name("data")
+        words_path = tmp_path / words if words else data / "stopwords.txt"
+        phrases_path = tmp_path / phrases if phrases else data / "stopphrases.txt"
+        config = cli._tokenizer_config(
+            {
+                "stopwords": str(tmp_path / words) if words else None,
+                "stopphrases": str(tmp_path / phrases) if phrases else None,
+            }
+        )
+        expected = TokenizerConfig(
+            frozenset(bibclass.textpipe.load_term_list(words_path)),
+            frozenset(bibclass.textpipe.load_term_list(phrases_path)),
+        )
+        assert config == expected
+        assert config.phrase_index == expected.phrase_index
+        if not (words or phrases):
+            assert config == bibclass.textpipe.default_tokenizer_config()
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_win(self, workspace, monkeypatch, capsys):
         model = build(workspace)

@@ -62,7 +62,12 @@ class TestLoadRecords:
             json.dumps({"id": "x", "title": "t", "year": True, "labels": []}),
             json.dumps({"id": "x", "title": "t", "year": 1, "labels": "astro"}),
             json.dumps({"id": "x", "title": "t", "year": 1, "labels": [""]}),
+            # labels is not optional.
             json.dumps({"id": "x", "title": "t", "year": 1}),
+            json.dumps({"id": "x", "title": "t", "abstract": "a", "journal": "j", "year": 1}),
+            # An abstract or journal, where given, is a string.
+            json.dumps({"id": "x", "title": "t", "abstract": 5, "year": 1, "labels": []}),
+            json.dumps({"id": "x", "title": "t", "journal": ["j"], "year": 1, "labels": []}),
             "",
             # Lone surrogates from JSON escapes, which no UTF-8 output can hold.
             json.dumps({"id": "x\ud800", "title": "t", "year": 1, "labels": []}),
@@ -187,7 +192,18 @@ class TestLoadMemberships:
             "c2": frozenset(),
         }
 
-    @pytest.mark.parametrize("line", ["justonefield", "a\tb\tc", "\tastro"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "justonefield",
+            "a\tb\tc",
+            "\tastro",
+            # A database name is a label: no line boundary inside it.
+            "c1\tastro\u2028x",
+            "c1\tphys,astro\x85x",
+            "c1\tastro\x0bx",
+        ],
+    )
     def test_malformed_line_aborts(self, tmp_path, line):
         path = tmp_path / "m.tsv"
         write_lines(path, [line])
@@ -215,6 +231,7 @@ class TestLoadCitations:
             path, {"c1", "c2", "r1", "r2"}, memberships, ("astro",)
         )
         assert graph.citers == {"r1": frozenset({"c1", "c2"}), "r2": frozenset({"c1"})}
+        assert all(type(s) is frozenset for s in graph.citers.values())
         assert graph.memberships["c1"] == frozenset({"astro"})
         assert graph.memberships["c2"] == frozenset()
         assert stats.edges_kept == 3
@@ -318,6 +335,19 @@ class TestModelRoundTrip:
             encoding="utf-8",
         )
         with pytest.raises(DataError, match=":4"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "name", ["astro,phys", "", " astro", "astro ", "astro\x85", "a\u2028b"]
+    )
+    def test_database_name_that_is_not_a_label_rejected(self, tmp_path, name):
+        path = tmp_path / "model.txt"
+        path.write_text(
+            f"bibclass-model v1\nalpha\t1.0\ndb\t{name}\t1\t1\nt\tgalaxy\t1\n",
+            encoding="utf-8",
+        )
+        message = r"corrupt model file at .*model\.txt:3: bad database name"
+        with pytest.raises(DataError, match=message):
             load_model(path)
 
     def test_term_line_before_any_db_rejected(self, tmp_path):

@@ -224,6 +224,11 @@ class TestClassifyCorpus:
         with pytest.raises(UsageError):
             classify_corpus(records, mode="text")
 
+    def test_citation_mode_without_a_graph_rejected(self, setup):
+        records, model, graph, text_config, cite_config = setup
+        with pytest.raises(UsageError, match="needs a citation graph and config"):
+            classify_corpus(records, mode="citation", cite_config=cite_config)
+
     @pytest.mark.parametrize("graph_dbs", [("physics",), ("astronomy", "physics", "optics")])
     def test_model_and_graph_must_name_the_same_databases(self, graph_dbs):
         model = build_model(
