@@ -19,7 +19,9 @@ import logging
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable
 
@@ -41,6 +43,7 @@ from bibclass.textpipe import (
     BUNDLED_STOPWORDS,
     TokenizerConfig,
     filter_tokens,
+    is_token,
     load_term_list,
     tokenize,
 )
@@ -216,6 +219,8 @@ def _settings(args: argparse.Namespace) -> dict[str, Any]:
         if name not in names:
             continue
         value = getattr(args, name)
+        if isinstance(value, list):  # argparse reads "--flag=--" as no value at all
+            raise UsageError(f"argument {_option(name)}: expected one argument")
         if value is None:
             value = config.get(name, flag.default)
         if flag.listable:
@@ -279,11 +284,12 @@ def load_triggers(
                 f"trigger term '{term}' at {path}:{lineno} must be a single word "
                 "or hyphenated compound"
             )
-        if not filter_tokens(tokens[:1], tokenizer_config):
+        trigger = tokens[0] if tokens else ""
+        if not is_token(trigger) or not filter_tokens([trigger], tokenizer_config):
             raise DataError(
                 f"trigger term '{term}' at {path}:{lineno} is removed by token filtering"
             )
-        triggers.setdefault(db, set()).add(tokens[0])
+        triggers.setdefault(db, set()).add(trigger)
     return {db: frozenset(terms) for db, terms in triggers.items()}
 
 
@@ -379,6 +385,12 @@ def _cmd_build_model(settings: dict[str, Any]) -> int:
     return 0
 
 
+# An assignment's record id, and its (via_text, via_citation) pattern: records
+# share few patterns, so each pattern's row suffix is formatted once.
+_RECORD_ID = attrgetter("record_id")
+_PATTERN = attrgetter("via_text", "via_citation")
+
+
 def emit_assignments(
     assignments: list[evalhub.Assignment], databases: tuple[str, ...], path: str | Path
 ) -> None:
@@ -388,15 +400,19 @@ def emit_assignments(
     byte-identical across runs.  The file is replaced whole, so a failed
     write leaves any earlier file as it was.
     """
-    lines = []
-    for a in assignments:
-        cols = (
-            ",".join(db for db in databases if db in a.databases),
-            ",".join(db for db in databases if db in a.via_text),
-            ",".join(db for db in databases if db in a.via_citation),
-        )
-        lines.append(f"{a.record_id}\t" + "\t".join(cols) + "\n")
-    write_text_atomic(path, "".join(lines), "assignments file")
+    patterns = list(map(_PATTERN, assignments))
+    suffixes = {p: _row_suffix(*p, databases) for p in set(patterns)}
+    rows = map(str.__add__, map(_RECORD_ID, assignments), map(suffixes.__getitem__, patterns))
+    write_text_atomic(path, "".join(rows), "assignments file")
+
+
+def _row_suffix(via_text: frozenset[str], via_citation: frozenset[str], databases) -> str:
+    """The ``<TAB>dbs<TAB>via_text<TAB>via_citation`` end of an assignments row."""
+    cols = (
+        ",".join(db for db in databases if db in dbs)
+        for dbs in (via_text | via_citation, via_text, via_citation)
+    )
+    return "\t" + "\t".join(cols) + "\n"
 
 
 def _cmd_classify(settings: dict[str, Any]) -> int:
@@ -404,12 +420,14 @@ def _cmd_classify(settings: dict[str, Any]) -> int:
     assignments = evalhub.classify_corpus(corpus.records, **inputs)
     out = settings["out"]
     emit_assignments(assignments, databases, out)
-    assigned = sum(1 for a in assignments if a.databases)
+    patterns = Counter(map(_PATTERN, assignments))
+    unions = [(via_text | via_citation, n) for (via_text, via_citation), n in patterns.items()]
+    assigned = sum(n for dbs, n in unions if dbs)
     print(f"mode: {settings['mode']}")
     print(f"records: {len(assignments)} ({corpus.skipped} skipped)")
     print(f"assigned: {assigned} (unassigned: {len(assignments) - assigned})")
     for db in databases:
-        count = sum(1 for a in assignments if db in a.databases)
+        count = sum(n for dbs, n in unions if db in dbs)
         print(f"assigned to {db}: {count}")
     print(f"wrote assignments: {out}")
     return 0

@@ -23,13 +23,15 @@ from __future__ import annotations
 import json
 import logging
 import os
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from bibclass.bayes import CategoryModel
 from bibclass.citegraph import CitationGraph
 from bibclass.errors import DataError, read_entries, read_lines
+from bibclass.textpipe import is_token
 
 log = logging.getLogger(__name__)
 
@@ -38,8 +40,7 @@ _MODEL_HEADER_PREFIX = "bibclass-model "
 _DECODER = json.JSONDecoder()
 
 
-@dataclass(frozen=True, slots=True)
-class BibRecord:
+class BibRecord(NamedTuple):
     """One bibliographic item with its human-assigned database labels."""
 
     id: str
@@ -87,8 +88,9 @@ def load_records(path: str | Path) -> Corpus:
     records: list[BibRecord] = []
     seen: set[str] = set()
     skipped = 0
+    label_sets: dict[tuple, frozenset[str] | None] = {}
     for lineno, line in read_lines(path, "records file"):
-        record = _parse_record_line(line)
+        record = _parse_record_line(line, label_sets)
         if record is None:
             skipped += 1
             log.warning("%s:%d: skipping malformed record line", path, lineno)
@@ -102,7 +104,15 @@ def load_records(path: str | Path) -> Corpus:
     return Corpus(records=records, skipped=skipped)
 
 
-def _parse_record_line(line: str) -> BibRecord | None:
+def _parse_record_line(
+    line: str, label_sets: dict[tuple, frozenset[str] | None]
+) -> BibRecord | None:
+    """The record a line holds, or None for a malformed line.
+
+    ``label_sets`` maps each label list already seen, as a tuple, to its
+    frozen set, or to None where the list is malformed; records share
+    those sets, and each distinct list is checked once.
+    """
     line = line.strip()
     if not line:
         return None
@@ -134,13 +144,34 @@ def _parse_record_line(line: str) -> BibRecord | None:
         return None
     if journal is not None and not isinstance(journal, str):
         return None
-    if not isinstance(labels, list) or not all(map(_is_label, labels)):
+    if not isinstance(labels, list):
         return None
+    key = tuple(labels)
     try:
-        "".join((rid, title, abstract or "", journal or "", *labels)).encode("utf-8")
+        gold = label_sets[key]
+    except KeyError:
+        gold = label_sets[key] = _label_set(labels)
+    except TypeError:
+        return None  # an unhashable item is a list or object, not a label
+    if gold is None or not _encodable("".join((rid, title, abstract or "", journal or ""))):
+        return None
+    return BibRecord(rid, title, year, abstract, journal, gold)
+
+
+def _label_set(labels: list) -> frozenset[str] | None:
+    """A record's label list as a set, or None if an item is not an encodable label."""
+    if all(map(_is_label, labels)) and _encodable("".join(labels)):
+        return frozenset(labels)
+    return None
+
+
+def _encodable(text: str) -> bool:
+    """False for text with a lone surrogate from a JSON escape: no output file could hold it."""
+    try:
+        text.encode("utf-8")
     except UnicodeEncodeError:
-        return None  # a lone surrogate from a JSON escape, which no output file could hold
-    return BibRecord(rid, title, year, abstract, journal, frozenset(labels))
+        return False
+    return True
 
 
 def _is_cell(value: object) -> bool:
@@ -164,15 +195,33 @@ def load_memberships(path: str | Path) -> dict[str, frozenset[str]]:
     empty database column is allowed and records an empty membership, but
     a database name that is not a label makes the line malformed.
     """
-    memberships: dict[str, set[str]] = {}
+    memberships: dict[str, frozenset[str]] = {}
+    columns: dict[str, frozenset[str] | None] = {}
     for lineno, line in read_entries(path, "membership file"):
-        parts = line.split("\t")
-        dbs = {d.strip() for d in parts[-1].split(",") if d.strip()}
-        if len(parts) != 2 or not parts[0].strip() or not all(map(_is_label, dbs)):
+        rid, tab, column = line.partition("\t")
+        rid = rid.strip()
+        dbs = columns.get(column)
+        if dbs is None:
+            dbs = columns[column] = _database_column(column)
+        if not tab or not rid or dbs is None:
             raise DataError(f"malformed membership line at {path}:{lineno}")
-        rid = parts[0].strip()
-        memberships.setdefault(rid, set()).update(dbs)
-    return {rid: frozenset(dbs) for rid, dbs in memberships.items()}
+        earlier = memberships.get(rid)
+        memberships[rid] = dbs if earlier is None else earlier | dbs
+    return memberships
+
+
+def _database_column(column: str) -> frozenset[str] | None:
+    """The databases a memberships column names, or None if it is malformed.
+
+    The column is split at commas and each item stripped; empty items are
+    dropped, and every other item must be a label.  A tab makes the line a
+    row of more than two cells.
+    """
+    if "\t" in column:
+        return None
+    dbs = {d.strip() for d in column.split(",")}
+    dbs.discard("")
+    return frozenset(dbs) if all(map(_is_label, dbs)) else None
 
 
 def load_citations(
@@ -188,13 +237,15 @@ def load_citations(
     corpus record nor a membership-file entry.  Drop counts are returned
     alongside the graph.
     """
-    citers: dict[str, set[str]] = {}
+    citers: defaultdict[str, set[str]] = defaultdict(set)
     kept = duplicates = self_citations = unknown = 0
     for lineno, line in read_entries(path, "citations file"):
-        parts = [p.strip() for p in line.strip().split("\t")]
-        if len(parts) != 2 or not parts[0] or not parts[1]:
+        # An entry's stripped line starts and ends with a non-blank
+        # character, so with one tab between them neither cell is empty.
+        citing, tab, cited = line.strip().partition("\t")
+        if not tab or "\t" in cited:
             raise DataError(f"malformed citation edge at {path}:{lineno}")
-        citing, cited = parts
+        citing, cited = citing.strip(), cited.strip()
         if citing == cited:
             self_citations += 1
             log.warning("%s:%d: dropping self-citation '%s'", path, lineno, citing)
@@ -202,10 +253,11 @@ def load_citations(
         if citing not in known_ids:
             unknown += 1
             continue
-        if citing in citers.get(cited, ()):
+        cited_by = citers[cited]
+        if citing in cited_by:
             duplicates += 1
             continue
-        citers.setdefault(cited, set()).add(citing)
+        cited_by.add(citing)
         kept += 1
     graph = CitationGraph(citers=citers, memberships=memberships or {}, databases=databases)
     stats = CitationLoadStats(
@@ -292,6 +344,8 @@ def load_model(path: str | Path) -> CategoryModel:
             elif tag == "t" and len(parts) == 3:
                 if current is None:
                     raise ValueError("term line before any database block")
+                if not is_token(parts[1]):
+                    raise ValueError(f"term {parts[1]!r} is not a token")
                 term_counts[current][parts[1]] = int(parts[2])
             else:
                 raise ValueError(f"unrecognized line tag '{tag}'")

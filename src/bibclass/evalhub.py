@@ -19,7 +19,7 @@ the calling process; their ``workers`` keyword is accepted and ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 from types import MappingProxyType
@@ -49,17 +49,17 @@ class ParamPoint(NamedTuple):
     ratio_threshold: float
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """Final database assignment for one record, split by classifier."""
 
     record_id: str
     via_text: frozenset[str]
     via_citation: frozenset[str]
-    databases: frozenset[str] = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "databases", self.via_text | self.via_citation)
+    @property
+    def databases(self) -> frozenset[str]:
+        """Every database the record is assigned to, by either classifier."""
+        return self.via_text | self.via_citation
 
 
 @dataclass(frozen=True)
@@ -313,7 +313,7 @@ def classify_corpus(
     n = len(records)
     via_text = _assigned_sets(text_rows, databases, p.min_words, p.score_threshold, n)
     via_citation = _assigned_sets(cite_rows, databases, p.min_citations, p.ratio_threshold, n)
-    return [Assignment(r.id, t, c) for r, t, c in zip(records, via_text, via_citation)]
+    return list(map(Assignment, [r.id for r in records], via_text, via_citation))
 
 
 def evaluate(

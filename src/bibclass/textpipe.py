@@ -101,6 +101,16 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+def is_token(term: str) -> bool:
+    """True for a token a scoring run could keep, stop lists aside.
+
+    That is a string that :func:`tokenize` gives back as exactly itself
+    and that is not digit-only: one or more of ``[a-z0-9]`` holding at
+    least one letter.
+    """
+    return term.isascii() and term.isalnum() and term.islower()
+
+
 def filter_tokens(tokens: list[str], config: TokenizerConfig) -> list[str]:
     """Drop digit-only tokens, stop words and stop phrases.
 

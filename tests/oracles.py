@@ -11,8 +11,12 @@ frequency from the model's raw counts instead of reading precomputed rows.
 Sweeps assign every record afresh at every grid point instead of
 combining per-threshold bitmasks.  The tokenizer reference folds every
 text through NFKD and matches compounds and plain words by alternation.
+The file-reader references apply the README's line rules one line at a
+time, with no memo of label lists or membership columns, and find line
+boundaries and lone surrogates by listing their code points.
 """
 
+import json
 import math
 import re
 from collections import Counter
@@ -264,3 +268,156 @@ def sweep_reference(records, mode, db, databases, text_table, cite_table, grids,
         }
         rows.append((*precision_recall_counts(assigned, gold, db), point))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Line rules of the records, memberships and citations files (README, "Input
+# files").  Each reference takes the file's lines, numbered from 1.
+# ---------------------------------------------------------------------------
+
+# The characters str.splitlines splits at, listed.
+LINE_BOUNDARIES = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _has_surrogate(text):
+    return any(0xD800 <= ord(ch) <= 0xDFFF for ch in text)
+
+
+def is_label_reference(name):
+    """A database name: a nonempty string with no tab, comma or line boundary, unpadded."""
+    return (
+        isinstance(name, str)
+        and name != ""
+        and name == name.strip()
+        and not any(ch in name for ch in "\t," + LINE_BOUNDARIES)
+    )
+
+
+def record_reference(line):
+    """The ``(id, title, year, abstract, journal, labels)`` a records line holds, or None.
+
+    The stripped line must be one JSON object.  The id is a nonempty
+    unpadded string with no tab or line boundary, the title a string that
+    is not blank, the year an integer and not a boolean, the abstract and
+    journal absent, null or strings, the labels a list of labels; no string
+    may hold a lone surrogate.
+    """
+    try:
+        obj = json.loads(line.strip())
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(obj, dict):
+        return None
+    rid, title, year = obj.get("id"), obj.get("title"), obj.get("year")
+    abstract, journal, labels = obj.get("abstract"), obj.get("journal"), obj.get("labels")
+    if not isinstance(rid, str) or rid == "" or rid != rid.strip():
+        return None
+    if any(ch in rid for ch in "\t" + LINE_BOUNDARIES):
+        return None
+    if not isinstance(title, str) or title.strip() == "":
+        return None
+    if type(year) is not int:
+        return None
+    if not all(v is None or isinstance(v, str) for v in (abstract, journal)):
+        return None
+    if not isinstance(labels, list) or not all(is_label_reference(x) for x in labels):
+        return None
+    if any(_has_surrogate(t) for t in [rid, title, abstract or "", journal or "", *labels]):
+        return None
+    return rid, title, year, abstract, journal, frozenset(labels)
+
+
+def records_reference(lines):
+    """Read a records file: ``(records, malformed line numbers, duplicate)``.
+
+    ``duplicate`` is None, or ``(line number, id)`` of the first record
+    whose id an earlier record holds, where reading stops.
+    """
+    records, malformed, ids = [], [], set()
+    for lineno, line in enumerate(lines, start=1):
+        record = record_reference(line)
+        if record is None:
+            malformed.append(lineno)
+        elif record[0] in ids:
+            return records, malformed, (lineno, record[0])
+        else:
+            ids.add(record[0])
+            records.append(record)
+    return records, malformed, None
+
+
+def _entry_lines(lines):
+    """The numbered lines of a hand-edited file that are neither blank nor ``#`` comments."""
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip() and line.strip()[0] != "#":
+            yield lineno, line
+
+
+def memberships_reference(lines):
+    """Read a memberships file: ``(id -> databases, line of the first malformed entry)``.
+
+    An entry is exactly two tab-separated cells; the stripped id is not
+    empty, and each comma-separated name of the second cell, stripped, is
+    empty (and skipped) or a label.  Repeated ids union their names.  The
+    line number is None for a well-formed file.
+    """
+    memberships = {}
+    for lineno, line in _entry_lines(lines):
+        cells = line.split("\t")
+        if len(cells) != 2 or cells[0].strip() == "":
+            return memberships, lineno
+        names = [n.strip() for n in cells[1].split(",") if n.strip()]
+        if not all(is_label_reference(n) for n in names):
+            return memberships, lineno
+        rid = cells[0].strip()
+        memberships[rid] = memberships.get(rid, frozenset()).union(names)
+    return memberships, None
+
+
+def citations_reference(lines, known_ids, memberships):
+    """Read a citations file against the ids a citer may have.
+
+    Returns ``(citers, citer memberships, counts, self-citation lines,
+    line of the first malformed entry)``.  An entry, stripped, is exactly
+    two tab-separated cells, each nonempty once stripped.  In order, an
+    edge is dropped as a self-citation, as one whose citer is not in
+    ``known_ids``, or as a duplicate of a kept edge; the rest are kept.
+    ``citers`` maps each cited id to its citers, and the citer memberships
+    give every citer its memberships or an empty set.
+    """
+    citers = {}
+    counts = dict(edges_kept=0, duplicates=0, self_citations=0, unknown_citers=0)
+    self_lines = []
+    for lineno, line in _entry_lines(lines):
+        cells = [c.strip() for c in line.strip().split("\t")]
+        if len(cells) != 2 or "" in cells:
+            return None, None, None, self_lines, lineno
+        citing, cited = cells
+        if citing == cited:
+            counts["self_citations"] += 1
+            self_lines.append((lineno, citing))
+        elif citing not in known_ids:
+            counts["unknown_citers"] += 1
+        elif citing in citers.get(cited, set()):
+            counts["duplicates"] += 1
+        else:
+            citers.setdefault(cited, set()).add(citing)
+            counts["edges_kept"] += 1
+    citer_memberships = {
+        c: frozenset(memberships.get(c, ())) for group in citers.values() for c in group
+    }
+    frozen = {cited: frozenset(group) for cited, group in citers.items()}
+    return frozen, citer_memberships, counts, self_lines, None
+
+
+def assignment_rows_reference(assignments, databases):
+    """An assignments file, one row per record built by three joins in configured order."""
+    rows = []
+    for record_id, via_text, via_citation in assignments:
+        union = set(via_text) | set(via_citation)
+        cols = [
+            ",".join(db for db in databases if db in chosen)
+            for chosen in (union, via_text, via_citation)
+        ]
+        rows.append(record_id + "\t" + "\t".join(cols) + "\n")
+    return "".join(rows)

@@ -7,15 +7,17 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bibclass
+import oracles
 from bibclass import cli, evalhub
-from bibclass.corpus import save_model
+from bibclass.corpus import load_model, save_model
 from bibclass.errors import DataError
 from bibclass.evalhub import Assignment
 from bibclass.textpipe import TokenizerConfig
@@ -542,6 +544,80 @@ class TestCorruptModel:
         assert not Path("assignments.tsv").exists()
 
 
+class TestModelTerms:
+    """A model term must be a token a scoring run could keep, or no token could equal it."""
+
+    @pytest.mark.parametrize(
+        "term",
+        ["Galaxy Star", "Galaxy", "x-ray", "xray star", "caf\u00e9", "1997", "", " galaxy", "a_b"],
+    )
+    def test_term_no_token_can_equal_is_a_data_error(self, workspace, monkeypatch, capsys, term):
+        monkeypatch.chdir(workspace)
+        Path("model.txt").write_text(
+            f"bibclass-model v1\nalpha\t1.0\ndb\tastro\t1\t2\nt\tgalaxy\t1\nt\t{term}\t1\n",
+            encoding="utf-8",
+        )
+        rc = cli.run(
+            ["classify", "--mode", "text", "--records", "test.jsonl", "--model", "model.txt"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == (
+            f"error: corrupt model file at model.txt:5: term {term!r} is not a token\n"
+        )
+        assert captured.out == ""
+        assert not Path("assignments.tsv").exists()
+
+    def test_a_model_of_tokens_loads(self, workspace, monkeypatch):
+        monkeypatch.chdir(workspace)
+        Path("model.txt").write_text(
+            "bibclass-model v1\nalpha\t1.0\ndb\tastro\t1\t3\nt\tgalaxy\t1\nt\tx2y\t1\n"
+            "t\t7b\t1\ndb\tphys\t1\t1\nt\tquark\t1\n",
+            encoding="utf-8",
+        )
+        rc = cli.run(
+            ["classify", "--mode", "text", "--records", "test.jsonl", "--model", "model.txt"]
+        )
+        assert rc == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        titles=st.lists(
+            st.lists(
+                st.sampled_from(
+                    ["Galaxy", "x-ray", "X-Ray", "caf\u00e9", "1997", "a1", "the", "et al.",
+                     "\u00c5ngstr\u00f6m", "star--dust", "-lone-", "\ufb01ne", "2nd", "K\u00e4lte"]
+                ),
+                min_size=1,
+                max_size=6,
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        labels=st.lists(st.sampled_from(["astro", "phys"]), min_size=1, max_size=2),
+    )
+    def test_every_model_build_model_writes_loads_back_exactly(
+        self, tmp_path_factory, titles, labels
+    ):
+        tmp = tmp_path_factory.mktemp("round-trip")
+        records = tmp / "train.jsonl"
+        records.write_text(
+            "".join(
+                json.dumps({"id": f"t{i}", "title": " ".join(words), "year": 1, "labels": labels})
+                + "\n"
+                for i, words in enumerate(titles)
+            ),
+            encoding="utf-8",
+        )
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.run(["build-model", "--records", str(records), "--model", str(tmp / "m.txt")])
+        if rc != 0:
+            return  # every title filtered away: nothing to train on
+        loaded = load_model(tmp / "m.txt")
+        save_model(loaded, tmp / "again.txt")
+        assert (tmp / "again.txt").read_bytes() == (tmp / "m.txt").read_bytes()
+
+
 class TestMembershipFile:
     def classify(self, workspace, body):
         (workspace / "memberships.tsv").write_text(body, encoding="utf-8")
@@ -1027,6 +1103,109 @@ class TestEmitAssignments:
         assert [p.name for p in tmp_path.iterdir()] == ["a.tsv"]
 
 
+_DB_POOL = ["zeta", "astro", "phys", "bio"]
+
+
+class TestEmitAssignmentsProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        databases=st.lists(st.sampled_from(_DB_POOL), unique=True, min_size=1).map(tuple),
+        rows=st.lists(
+            st.tuples(
+                st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+                st.frozensets(st.sampled_from(_DB_POOL)),
+                st.frozensets(st.sampled_from(_DB_POOL)),
+            ),
+            max_size=12,
+        ),
+    )
+    @example(
+        databases=("zeta", "astro", "phys"),
+        rows=[
+            ("r1", frozenset({"astro", "zeta"}), frozenset({"zeta"})),
+            ("r2", frozenset(), frozenset({"astro"})),
+            ("r3", frozenset({"astro", "zeta"}), frozenset({"zeta"})),
+            ("r4", frozenset(), frozenset()),
+        ],
+    )
+    def test_bytes_equal_the_per_record_three_join_rule(self, databases, rows):
+        assignments = [Assignment(*row) for row in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "a.tsv"
+            cli.emit_assignments(assignments, databases, path)
+            written = path.read_bytes()
+        assert written == oracles.assignment_rows_reference(rows, databases).encode("utf-8")
+
+
+# A model whose databases are not in alphabetical order.
+_SUMMARY_MODEL = (
+    "bibclass-model v1\nalpha\t1.0\n"
+    "db\tphys\t2\t4\nt\tboson\t2\nt\tquark\t2\n"
+    "db\tastro\t2\t4\nt\tgalaxy\t2\nt\tstar\t2\n"
+    "db\tbio\t1\t2\nt\tcell\t2\n"
+)
+
+
+class TestClassifySummaryProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        titles=st.lists(
+            st.lists(
+                st.sampled_from(["quark", "boson", "galaxy", "star", "cell", "note"]), max_size=5
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        memberships=st.lists(st.frozensets(st.sampled_from(["phys", "astro", "bio"])), max_size=5),
+        edges=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 9)), max_size=25),
+        point=st.tuples(
+            st.integers(0, 3),
+            st.sampled_from(["0.2", "0.34", "0.5"]),
+            st.integers(1, 2),
+            st.sampled_from(["0.3", "0.5", "1"]),
+        ),
+    )
+    def test_counts_equal_per_record_counts_over_the_assignments_file(
+        self, titles, memberships, edges, point
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "model.txt").write_text(_SUMMARY_MODEL, encoding="utf-8")
+            (tmp / "test.jsonl").write_text(
+                "".join(
+                    json.dumps({"id": f"r{i}", "title": " ".join(words) or "x", "year": 1,
+                                "labels": []}) + "\n"
+                    for i, words in enumerate(titles)
+                ),
+                encoding="utf-8",
+            )
+            (tmp / "memberships.tsv").write_text(
+                "".join(f"c{j}\t{','.join(sorted(dbs))}\n" for j, dbs in enumerate(memberships)),
+                encoding="utf-8",
+            )
+            (tmp / "citations.tsv").write_text(
+                "".join(f"c{j}\tr{i}\n" for j, i in edges), encoding="utf-8"
+            )
+            nt, st_, nc, rc = point
+            argv = ["classify", "--mode", "combined", "--out", str(tmp / "a.tsv")]
+            for flag in ("records", "model", "citations", "memberships"):
+                name = {"records": "test.jsonl", "model": "model.txt"}.get(flag, f"{flag}.tsv")
+                argv += [f"--{flag}", str(tmp / name)]
+            argv += ["--nt", str(nt), "--st", st_, "--nc", str(nc), "--rc", rc]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.run(argv) == 0
+            rows = [line.split("\t") for line in (tmp / "a.tsv").read_text("utf-8").splitlines()]
+        printed = out.getvalue().splitlines()
+        assigned = sum(1 for row in rows if row[1])
+        expected = [f"records: {len(rows)} (0 skipped)"]
+        expected.append(f"assigned: {assigned} (unassigned: {len(rows) - assigned})")
+        for db in ("phys", "astro", "bio"):
+            count = sum(1 for row in rows if db in row[1].split(","))
+            expected.append(f"assigned to {db}: {count}")
+        assert printed[1:-1] == expected
+
+
 class TestHelp:
     def test_help_exits_zero_and_lists_flags(self, capsys):
         assert cli.run(["classify", "--help"]) == 0
@@ -1101,6 +1280,9 @@ _VALUE_TEXT = st.one_of(
 
 class TestValueProperty:
     @settings(max_examples=300, deadline=None)
+    @example(flag="workers", command="classify", value="--", from_config=False)
+    @example(flag="nc", command="sweep", value="--", from_config=False)
+    @example(flag="st", command="evaluate", value="--", from_config=False)
     @given(
         flag=st.sampled_from(sorted(_NUMERIC_FLAGS)),
         command=st.sampled_from(["classify", "evaluate", "sweep"]),

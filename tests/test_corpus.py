@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import pickle
@@ -62,6 +61,9 @@ class TestLoadRecords:
             json.dumps({"id": "x", "title": "t", "year": True, "labels": []}),
             json.dumps({"id": "x", "title": "t", "year": 1, "labels": "astro"}),
             json.dumps({"id": "x", "title": "t", "year": 1, "labels": [""]}),
+            # A label list that cannot be hashed holds a non-string.
+            json.dumps({"id": "x", "title": "t", "year": 1, "labels": [["a"]]}),
+            json.dumps({"id": "x", "title": "t", "year": 1, "labels": [{"x": 1}]}),
             # labels is not optional.
             json.dumps({"id": "x", "title": "t", "year": 1}),
             json.dumps({"id": "x", "title": "t", "abstract": "a", "journal": "j", "year": 1}),
@@ -165,16 +167,22 @@ class TestLoadRecords:
 class TestBibRecord:
     def test_fields_defaults_and_order(self):
         record = BibRecord("a", "T", 1997)
-        assert [f.name for f in dataclasses.fields(BibRecord)] == [
+        assert BibRecord._fields == (
             "id", "title", "year", "abstract", "journal", "gold_labels"
-        ]
+        )
+        assert BibRecord._field_defaults == {
+            "abstract": None, "journal": None, "gold_labels": frozenset()
+        }
         assert (record.abstract, record.journal, record.gold_labels) == (None, None, frozenset())
         assert record == BibRecord(id="a", title="T", year=1997)
+        assert tuple(record) == ("a", "T", 1997, None, None, frozenset())
 
     def test_immutable_hashable_slotted_and_picklable(self):
         record = BibRecord("a", "T", 1997, "A", "J", frozenset({"astro"}))
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             record.title = "U"
+        with pytest.raises(AttributeError):
+            record.extra = 1
         assert not hasattr(record, "__dict__")
         assert hash(record) == hash(BibRecord("a", "T", 1997, "A", "J", frozenset({"astro"})))
         assert record != BibRecord("a", "T", 1997, "A", "J")

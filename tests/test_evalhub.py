@@ -85,6 +85,16 @@ class TestAssignment:
         )
         assert a.databases == frozenset({"astro", "phys"})
 
+    def test_fields_equality_and_hash(self):
+        a = Assignment("r", frozenset({"astro"}), frozenset())
+        assert Assignment._fields == ("record_id", "via_text", "via_citation")
+        same = Assignment(record_id="r", via_text=frozenset({"astro"}), via_citation=frozenset())
+        assert a == same and hash(a) == hash(same)
+        assert a != Assignment("r", frozenset(), frozenset({"astro"}))
+        assert a != Assignment("s", frozenset({"astro"}), frozenset())
+        with pytest.raises(AttributeError):
+            a.databases = frozenset()
+
 
 def inputs(setup):
     """The keyword arguments classify_corpus and evaluate take, from the fixture."""

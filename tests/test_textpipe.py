@@ -12,6 +12,7 @@ from bibclass.textpipe import (
     TokenizerConfig,
     default_tokenizer_config,
     filter_tokens,
+    is_token,
     load_term_list,
     tokenize,
 )
@@ -292,3 +293,30 @@ class TestTermLists:
         assert "the" in config.stop_words
         assert "obituary" in config.stop_phrases
         assert any(" " in p for p in config.stop_phrases)
+
+
+class TestIsToken:
+    @settings(max_examples=500)
+    @given(
+        term=st.lists(st.sampled_from(["a", "z", "Q", "0", "9", " ", *_TRICKY]), max_size=6).map(
+            "".join
+        )
+        | st.text(max_size=6)
+    )
+    @example(term="")
+    @example(term="1997")
+    @example(term="a1")
+    @example(term="\u00b2")
+    @example(term="\ufb01")
+    def test_is_a_token_tokenize_gives_back_and_the_filter_keeps(self, term):
+        assert is_token(term) == (tokenize(term) == [term] and not term.isdigit())
+
+    @pytest.mark.parametrize("term", ["galaxy", "a1", "x2y", "7b"])
+    def test_words_are_tokens(self, term):
+        assert is_token(term)
+
+    @pytest.mark.parametrize(
+        "term", ["", "Galaxy", "galaxy star", "x-ray", "caf\u00e9", "1997", " galaxy", "a_b"]
+    )
+    def test_other_strings_are_not(self, term):
+        assert not is_token(term)
