@@ -18,24 +18,20 @@ the rows' columns in token order.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from bibclass.errors import DataError
+from bibclass.errors import DataError, warn
 from bibclass.textpipe import TokenizerConfig, filter_tokens, tokenize
+from bibclass.values import FrozenValue, Value
 
 if TYPE_CHECKING:
     from bibclass.corpus import BibRecord
 
-log = logging.getLogger(__name__)
 
-
-@dataclass
-class CategoryModel:
+class CategoryModel(Value):
     """Per-database term counts and totals backing the text classifier.
 
     ``term_counts`` maps database -> term -> occurrence count; only
@@ -44,40 +40,48 @@ class CategoryModel:
     the log of its :func:`term_probability` in each database, in
     ``databases`` order), ``unseen_row`` (that row for a term no database
     saw) and ``log_priors`` (the log of each database's share of the
-    documents, ``-inf`` for a database without any).  A model without
-    training documents or without terms cannot score a record, so it cannot
-    be constructed either.  Instances are treated as immutable once built.
+    documents, ``-inf`` for a database without any); these three take no
+    part in equality or ``repr``.  A model without training documents or
+    without terms cannot score a record, so it cannot be constructed
+    either.  Instances are treated as immutable once built.
     """
 
-    databases: tuple[str, ...]
-    term_counts: dict[str, dict[str, int]]
-    total_tokens: dict[str, int]
-    doc_counts: dict[str, int]
-    smoothing_alpha: float = 1.0
-    vocabulary_size: int = field(init=False)
-    term_rows: dict[str, tuple[float, ...]] = field(init=False, repr=False, compare=False)
-    unseen_row: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    log_priors: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _fields = (
+        "databases",
+        "term_counts",
+        "total_tokens",
+        "doc_counts",
+        "smoothing_alpha",
+        "vocabulary_size",
+    )
+    __slots__ = (*_fields, "term_rows", "unseen_row", "log_priors")
 
-    def __post_init__(self):
-        alpha = self.smoothing_alpha
+    def __init__(
+        self,
+        databases: tuple[str, ...],
+        term_counts: dict[str, dict[str, int]],
+        total_tokens: dict[str, int],
+        doc_counts: dict[str, int],
+        smoothing_alpha: float = 1.0,
+    ):
+        alpha = self.smoothing_alpha = smoothing_alpha
         if not (math.isfinite(alpha) and alpha > 0):
             raise ValueError(f"smoothing_alpha must be finite and positive, got {alpha!r}")
-        self.databases = tuple(self.databases)
+        self.databases = tuple(databases)
         if len(set(self.databases)) != len(self.databases):
             raise ValueError("database names must be unique")
         known = set(self.databases)
-        for mapping in (self.term_counts, self.total_tokens, self.doc_counts):
+        for mapping in (term_counts, total_tokens, doc_counts):
             unknown = set(mapping) - known
             if unknown:
                 raise ValueError(f"counts reference unknown databases: {sorted(unknown)}")
         # New dicts, one entry per database, so the caller's are left as given.
         self.term_counts = {
-            db: {t: c for t, c in self.term_counts.get(db, {}).items() if c != 0}
+            db: {t: c for t, c in term_counts.get(db, {}).items() if c != 0}
             for db in self.databases
         }
-        self.total_tokens = {db: self.total_tokens.get(db, 0) for db in self.databases}
-        self.doc_counts = {db: self.doc_counts.get(db, 0) for db in self.databases}
+        self.total_tokens = {db: total_tokens.get(db, 0) for db in self.databases}
+        self.doc_counts = {db: doc_counts.get(db, 0) for db in self.databases}
         for db in self.databases:
             counts = self.term_counts[db]
             if any(c < 0 for c in counts.values()):
@@ -118,8 +122,7 @@ class CategoryModel:
         return sum(self.doc_counts[db] for db in self.databases)
 
 
-@dataclass(frozen=True)
-class TextClassifierConfig:
+class TextClassifierConfig(FrozenValue):
     """Decision parameters for the text classifier.
 
     ``min_words`` gates how many filtered tokens a record needs before it
@@ -128,22 +131,30 @@ class TextClassifierConfig:
     lowercase so they can match filtered tokens.
     """
 
-    min_words: int = 5
-    score_threshold: float = 0.25
-    triggers: dict[str, frozenset[str]] = field(default_factory=dict)
-    trigger_boost: float = 0.25
+    __slots__ = _fields = ("min_words", "score_threshold", "triggers", "trigger_boost")
 
-    def __post_init__(self):
-        if self.min_words < 0:
+    def __init__(
+        self,
+        min_words: int = 5,
+        score_threshold: float = 0.25,
+        triggers: dict[str, frozenset[str]] | None = None,
+        trigger_boost: float = 0.25,
+    ):
+        triggers = {} if triggers is None else triggers
+        if min_words < 0:
             raise ValueError("min_words must be >= 0")
-        if not 0.0 <= self.score_threshold <= 1.0:
+        if not 0.0 <= score_threshold <= 1.0:
             raise ValueError("score_threshold must be in [0, 1]")
-        if not 0.0 <= self.trigger_boost <= 1.0:
+        if not 0.0 <= trigger_boost <= 1.0:
             raise ValueError("trigger_boost must be in [0, 1]")
-        for db, terms in self.triggers.items():
+        for db, terms in triggers.items():
             for term in terms:
                 if term != term.lower():
                     raise ValueError(f"trigger term '{term}' for '{db}' is not lowercase")
+        object.__setattr__(self, "min_words", min_words)
+        object.__setattr__(self, "score_threshold", score_threshold)
+        object.__setattr__(self, "triggers", triggers)
+        object.__setattr__(self, "trigger_boost", trigger_boost)
 
 
 def record_text(record: BibRecord) -> str:
@@ -192,7 +203,7 @@ def build_model(
         raise DataError(f"training produced an empty vocabulary ({used} labeled records)")
     for db in databases:
         if doc_counts[db] == 0:
-            log.warning("no training records labeled '%s'; it keeps only smoothed mass", db)
+            warn(__name__, "no training records labeled '%s'; it keeps only smoothed mass", db)
     return CategoryModel(
         databases=databases,
         term_counts={db: dict(term_counts[db]) for db in databases},

@@ -10,12 +10,12 @@ path as the text classifier's scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import AbstractSet, Mapping
 
+from bibclass.values import FrozenValue, Value
 
-@dataclass
-class CitationGraph:
+
+class CitationGraph(Value):
     """Cited-id -> citing-ids mapping plus the citers' database memberships.
 
     ``citers`` becomes a new dict holding each cited id's citing ids as a
@@ -26,34 +26,35 @@ class CitationGraph:
     not changed.  Instances are immutable after construction.
     """
 
-    citers: Mapping[str, AbstractSet[str]]
-    memberships: Mapping[str, frozenset[str]] = field(default_factory=dict)
-    databases: tuple[str, ...] = ()
+    __slots__ = _fields = ("citers", "memberships", "databases")
 
-    def __post_init__(self):
-        self.databases = tuple(self.databases)
-        citers: dict[str, frozenset[str]] = {}
-        for cited, citing in self.citers.items():
-            citing = citers[cited] = frozenset(citing)
+    def __init__(
+        self,
+        citers: Mapping[str, AbstractSet[str]],
+        memberships: Mapping[str, frozenset[str]] | None = None,
+        databases: tuple[str, ...] = (),
+    ):
+        self.databases = tuple(databases)
+        self.citers: dict[str, frozenset[str]] = {}
+        for cited, citing in citers.items():
+            citing = self.citers[cited] = frozenset(citing)
             if cited in citing:
                 raise ValueError(f"self-citation in graph: '{cited}'")
-        self.citers = citers
-        given = self.memberships
+        given = memberships or {}
         self.memberships = {
             c: given.get(c, frozenset()) for citing in self.citers.values() for c in citing
         }
 
 
-@dataclass(frozen=True)
-class CitationClassifierConfig:
+class CitationClassifierConfig(FrozenValue):
     """Decision parameters for the citation classifier."""
 
-    min_citations: int = 4
-    ratio_threshold: float = 0.5
+    __slots__ = _fields = ("min_citations", "ratio_threshold")
 
-    def __post_init__(self):
-        if self.min_citations < 1:
+    def __init__(self, min_citations: int = 4, ratio_threshold: float = 0.5):
+        if min_citations < 1:
             raise ValueError("min_citations must be >= 1")
-        if not 0.0 < self.ratio_threshold <= 1.0:
+        if not 0.0 < ratio_threshold <= 1.0:
             raise ValueError("ratio_threshold must be in (0, 1]")
-
+        object.__setattr__(self, "min_citations", min_citations)
+        object.__setattr__(self, "ratio_threshold", ratio_threshold)

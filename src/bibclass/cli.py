@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import argparse
 import gc
-import logging
 import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from bibclass import evalhub
 from bibclass.bayes import CategoryModel, TextClassifierConfig, build_model
@@ -36,7 +34,7 @@ from bibclass.corpus import (
     save_model,
     write_text_atomic,
 )
-from bibclass.errors import DataError, UsageError, read_entries
+from bibclass.errors import DataError, UsageError, read_entries, warn_on_stderr
 from bibclass.evalhub import MODES, SweepGrids
 from bibclass.textpipe import (
     BUNDLED_STOPPHRASES,
@@ -47,8 +45,6 @@ from bibclass.textpipe import (
     load_term_list,
     tokenize,
 )
-
-log = logging.getLogger(__name__)
 
 CONFIG_ENV_VAR = "BIBCLASS_CONFIG"
 
@@ -95,8 +91,7 @@ def _mode_value(value: str, flag: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class _Flag:
+class _Flag(NamedTuple):
     """One flag's help text, default and value rule.
 
     ``default`` is the string a config file would supply.  A value flag has
@@ -320,16 +315,8 @@ def _load_classification_inputs(settings: dict[str, Any], command: str):
             if not databases:
                 raise DataError("membership file names no databases")
         known = set(memberships) | corpus.ids()
-        graph, stats = load_citations(
+        graph, _ = load_citations(
             _require(settings, "citations", command), known, memberships, databases
-        )
-        log.info(
-            "citations: kept %d edge(s), dropped %d duplicate(s), %d self-citation(s), "
-            "%d unknown citer(s)",
-            stats.edges_kept,
-            stats.duplicates,
-            stats.self_citations,
-            stats.unknown_citers,
         )
         cite_config = CitationClassifierConfig(
             min_citations=settings["nc"][0], ratio_threshold=settings["rc"][0]
@@ -497,7 +484,7 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s: %(message)s")
+    warn_on_stderr()
     # One run is one short-lived process whose records, tables and
     # assignments hold no reference cycles, so the cyclic collector only
     # rescans them.  On a 40,330-record classify it ran about 520/47/4

@@ -21,19 +21,16 @@ or ``\r``.  Loaded corpora, graphs and models are immutable afterwards.
 from __future__ import annotations
 
 import json
-import logging
 import os
 from collections import defaultdict
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple
 
 from bibclass.bayes import CategoryModel
 from bibclass.citegraph import CitationGraph
-from bibclass.errors import DataError, read_entries, read_lines
+from bibclass.errors import DataError, read_entries, read_lines, warn
 from bibclass.textpipe import is_token
-
-log = logging.getLogger(__name__)
+from bibclass.values import Value
 
 MODEL_FORMAT_VERSION = "v1"
 _MODEL_HEADER_PREFIX = "bibclass-model "
@@ -51,12 +48,14 @@ class BibRecord(NamedTuple):
     gold_labels: frozenset[str] = frozenset()
 
 
-@dataclass
-class Corpus:
+class Corpus(Value):
     """Validated records in input order plus ingest bookkeeping."""
 
-    records: list[BibRecord]
-    skipped: int = 0
+    __slots__ = _fields = ("records", "skipped")
+
+    def __init__(self, records: list[BibRecord], skipped: int = 0):
+        self.records = records
+        self.skipped = skipped
 
     def __len__(self) -> int:
         return len(self.records)
@@ -68,8 +67,7 @@ class Corpus:
         return {r.id for r in self.records}
 
 
-@dataclass(frozen=True)
-class CitationLoadStats:
+class CitationLoadStats(NamedTuple):
     """What the citation loader kept and why it dropped the rest."""
 
     edges_kept: int = 0
@@ -93,14 +91,14 @@ def load_records(path: str | Path) -> Corpus:
         record = _parse_record_line(line, label_sets)
         if record is None:
             skipped += 1
-            log.warning("%s:%d: skipping malformed record line", path, lineno)
+            warn(__name__, "%s:%d: skipping malformed record line", path, lineno)
             continue
         if record.id in seen:
             raise DataError(f"duplicate record id '{record.id}' at {path}:{lineno}")
         seen.add(record.id)
         records.append(record)
     if skipped:
-        log.warning("%s: skipped %d malformed line(s)", path, skipped)
+        warn(__name__, "%s: skipped %d malformed line(s)", path, skipped)
     return Corpus(records=records, skipped=skipped)
 
 
@@ -248,7 +246,7 @@ def load_citations(
         citing, cited = citing.strip(), cited.strip()
         if citing == cited:
             self_citations += 1
-            log.warning("%s:%d: dropping self-citation '%s'", path, lineno, citing)
+            warn(__name__, "%s:%d: dropping self-citation '%s'", path, lineno, citing)
             continue
         if citing not in known_ids:
             unknown += 1
@@ -306,8 +304,12 @@ def save_model(model: CategoryModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> CategoryModel:
     """Read a model written by :func:`save_model`; round-trips are exact.
 
-    Whatever :class:`~bibclass.bayes.CategoryModel` refuses, such as a model
-    without training documents or without terms, is rejected as corrupt.
+    A line that :func:`save_model` could not have written is corrupt and
+    named: a second ``alpha`` line, a second block for one database or a
+    term repeated within one, a count that is not plain decimal digits
+    (:func:`_model_count`) and a zero term count.  Whatever
+    :class:`~bibclass.bayes.CategoryModel` refuses, such as a model without
+    training documents or without terms, is rejected as corrupt too.
     """
     lines = read_lines(path, "model file")
     _, header = next(lines, (1, ""))
@@ -330,6 +332,8 @@ def load_model(path: str | Path) -> CategoryModel:
         tag = parts[0]
         try:
             if tag == "alpha" and len(parts) == 2:
+                if alpha is not None:
+                    raise ValueError("second alpha line")
                 alpha = float(parts[1])
             elif tag == "db" and len(parts) == 4:
                 current = parts[1]
@@ -339,14 +343,22 @@ def load_model(path: str | Path) -> CategoryModel:
                     raise ValueError("duplicate database block")
                 databases.append(current)
                 term_counts[current] = {}
-                doc_counts[current] = int(parts[2])
-                total_tokens[current] = int(parts[3])
+                totals = f"totals for database '{current}'"
+                doc_counts[current] = _model_count(parts[2], totals)
+                total_tokens[current] = _model_count(parts[3], totals)
+                term_count = f"term count in database '{current}'"
             elif tag == "t" and len(parts) == 3:
                 if current is None:
                     raise ValueError("term line before any database block")
-                if not is_token(parts[1]):
-                    raise ValueError(f"term {parts[1]!r} is not a token")
-                term_counts[current][parts[1]] = int(parts[2])
+                term, counts = parts[1], term_counts[current]
+                if not is_token(term):
+                    raise ValueError(f"term {term!r} is not a token")
+                if term in counts:
+                    raise ValueError(f"term {term!r} repeated in database '{current}'")
+                count = _model_count(parts[2], term_count)
+                if not count:
+                    raise ValueError(f"term {term!r} has a zero count")
+                counts[term] = count
             else:
                 raise ValueError(f"unrecognized line tag '{tag}'")
         except ValueError as exc:
@@ -363,3 +375,16 @@ def load_model(path: str | Path) -> CategoryModel:
         )
     except (ValueError, OverflowError) as exc:
         raise DataError(f"corrupt model file {path}: {exc}") from exc
+
+
+def _model_count(text: str, what: str) -> int:
+    """A model count written as :func:`save_model` writes one: ASCII digits, no leading zero.
+
+    A sign, padding, ``_`` or a leading zero is refused; ``what`` names the
+    count in the message for a negative one.
+    """
+    if text.isascii() and text.isdigit() and (text == "0" or text[0] != "0"):
+        return int(text)
+    if text[:1] == "-" and text[1:].isascii() and text[1:].isdigit():
+        raise ValueError(f"negative {what}")
+    raise ValueError(f"count {text!r} is not plain decimal digits")

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the one input-file reader."""
+"""Exception hierarchy shared across the package, the one input-file reader and warnings."""
 
 from __future__ import annotations
 
@@ -44,3 +44,33 @@ def read_entries(path: str | os.PathLike, what: str) -> Iterator[tuple[int, str]
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             yield lineno, line
+
+
+# Set by the CLI: the first warning then sets up logging to print on stderr.
+_to_stderr = False
+
+
+def warn_on_stderr() -> None:
+    """Have the first :func:`warn` set up logging to print on stderr, as ``LEVEL: message``.
+
+    The setup waits for a warning, so a run that logs none never imports
+    :mod:`logging`.  ``bibclass.cli.main`` calls this; the library alone
+    leaves logging as the caller set it.
+    """
+    global _to_stderr
+    _to_stderr = True
+
+
+def warn(logger: str, message: str, *args: object) -> None:
+    """Log ``message % args`` as a warning on the named logger, as made by the caller.
+
+    :mod:`logging` is imported here, on the first warning, not when the
+    package is.
+    """
+    global _to_stderr
+    import logging
+
+    if _to_stderr:
+        logging.basicConfig(level=logging.WARNING, format="%(levelname)s: %(message)s")
+        _to_stderr = False
+    logging.getLogger(logger).warning(message, *args, stacklevel=2)

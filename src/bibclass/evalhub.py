@@ -19,7 +19,6 @@ the calling process; their ``workers`` keyword is accepted and ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 from types import MappingProxyType
@@ -36,6 +35,7 @@ from bibclass.citegraph import CitationClassifierConfig, CitationGraph
 from bibclass.corpus import BibRecord, write_text_atomic
 from bibclass.errors import DataError, UsageError
 from bibclass.textpipe import TokenizerConfig, filter_tokens, tokenize
+from bibclass.values import FrozenValue
 
 MODES = ("text", "citation", "combined")
 
@@ -62,8 +62,7 @@ class Assignment(NamedTuple):
         return self.via_text | self.via_citation
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Precision/recall of one database's assignments at one parameter point."""
 
     db: str
@@ -75,23 +74,26 @@ class EvalReport:
     params: ParamPoint
 
 
-@dataclass(frozen=True)
-class SweepGrids:
+class SweepGrids(FrozenValue):
     """Value lists for the four decision parameters."""
 
-    min_words: tuple[int, ...]
-    score_thresholds: tuple[float, ...]
-    min_citations: tuple[int, ...]
-    ratio_thresholds: tuple[float, ...]
+    __slots__ = _fields = ("min_words", "score_thresholds", "min_citations", "ratio_thresholds")
 
-    def __post_init__(self):
-        for name in ("min_words", "score_thresholds", "min_citations", "ratio_thresholds"):
-            if not getattr(self, name):
+    def __init__(
+        self,
+        min_words: tuple[int, ...],
+        score_thresholds: tuple[float, ...],
+        min_citations: tuple[int, ...],
+        ratio_thresholds: tuple[float, ...],
+    ):
+        grids = (min_words, score_thresholds, min_citations, ratio_thresholds)
+        for name, grid in zip(self._fields, grids):
+            if not grid:
                 raise UsageError(f"empty sweep grid for {name}")
+            object.__setattr__(self, name, grid)
 
 
-@dataclass(frozen=True)
-class SweepGrid:
+class SweepGrid(NamedTuple):
     """Sweep output: one report per parameter combination, in grid order."""
 
     mode: str

@@ -21,12 +21,12 @@ phrase matching altogether.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress, count
 from pathlib import Path
 from unicodedata import normalize
 
 from bibclass.errors import read_entries
+from bibclass.values import FrozenValue
 
 # A translate table that lowercases ASCII letters and turns every other byte
 # outside [a-z0-9-] into a space, so splitting on whitespace leaves the words.
@@ -40,8 +40,7 @@ BUNDLED_STOPWORDS = Path(__file__).with_name("data") / "stopwords.txt"
 BUNDLED_STOPPHRASES = Path(__file__).with_name("data") / "stopphrases.txt"
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
+class TokenizerConfig(FrozenValue):
     """Filtering rules applied to the raw token stream.
 
     Every stop word and phrase is read with :func:`tokenize` on
@@ -56,21 +55,21 @@ class TokenizerConfig:
     hashing.
     """
 
-    stop_words: frozenset[str] = frozenset()
-    stop_phrases: frozenset[str] = frozenset()
-    phrase_index: dict[str, tuple[tuple[str, ...], ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    __slots__ = ("stop_words", "stop_phrases", "phrase_index")
+    _fields = ("stop_words", "stop_phrases")
 
-    def __post_init__(self):
-        words = [tokenize(w) for w in self.stop_words]
-        runs = [tokenize(p) for p in self.stop_phrases] + [w for w in words if len(w) > 1]
-        object.__setattr__(self, "stop_words", frozenset(w[0] for w in words if len(w) == 1))
-        object.__setattr__(self, "stop_phrases", frozenset(" ".join(r) for r in runs if r))
-        phrases = sorted((tuple(p.split()) for p in self.stop_phrases), key=lambda p: (-len(p), p))
+    def __init__(
+        self, stop_words: frozenset[str] = frozenset(), stop_phrases: frozenset[str] = frozenset()
+    ):
+        words = [tokenize(w) for w in stop_words]
+        runs = [tokenize(p) for p in stop_phrases] + [w for w in words if len(w) > 1]
+        stop_phrases = frozenset(" ".join(r) for r in runs if r)
+        phrases = sorted((tuple(p.split()) for p in stop_phrases), key=lambda p: (-len(p), p))
         index: dict[str, list[tuple[str, ...]]] = {}
         for phrase in phrases:
             index.setdefault(phrase[0], []).append(phrase)
+        object.__setattr__(self, "stop_words", frozenset(w[0] for w in words if len(w) == 1))
+        object.__setattr__(self, "stop_phrases", stop_phrases)
         object.__setattr__(
             self, "phrase_index", {first: tuple(group) for first, group in index.items()}
         )

@@ -13,7 +13,9 @@ combining per-threshold bitmasks.  The tokenizer reference folds every
 text through NFKD and matches compounds and plain words by alternation.
 The file-reader references apply the README's line rules one line at a
 time, with no memo of label lists or membership columns, and find line
-boundaries and lone surrogates by listing their code points.
+boundaries and lone surrogates by listing their code points.  The model
+reference matches each line against the README's format with regular
+expressions.
 """
 
 import json
@@ -408,6 +410,59 @@ def citations_reference(lines, known_ids, memberships):
     }
     frozen = {cited: frozenset(group) for cited, group in citers.items()}
     return frozen, citer_memberships, counts, self_lines, None
+
+
+_MODEL_COUNT_RE = re.compile(r"0|[1-9][0-9]*")
+_MODEL_TERM_RE = re.compile(r"[a-z0-9]*[a-z][a-z0-9]*")
+
+
+def model_reference(lines):
+    """Read a model file by the README's format: ``(counts, line of the first bad line)``.
+
+    Line 1 is ``bibclass-model v1``.  Every later line is ``alpha<TAB>real``,
+    exactly once in the file; ``db<TAB>name<TAB>documents<TAB>tokens``,
+    which opens a database's block, each name a label and in one block
+    only; or ``t<TAB>term<TAB>count`` inside a block, each term a token
+    and once per block, its count not zero.  Every count is plain decimal
+    digits without a leading zero.  ``counts`` is ``(alpha, databases,
+    term counts, total tokens, document counts)`` for a file of such lines,
+    and None for a file with a bad line or without an alpha line.
+    """
+    if not lines or lines[0] != "bibclass-model v1":
+        return None, 1
+    alpha, databases, terms, totals, docs = None, [], {}, {}, {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split("\t")
+        if cells[0] == "alpha" and len(cells) == 2 and alpha is None:
+            try:
+                alpha = float(cells[1])
+            except ValueError:
+                return None, lineno
+        elif (
+            cells[0] == "db"
+            and len(cells) == 4
+            and is_label_reference(cells[1])
+            and cells[1] not in terms
+            and all(_MODEL_COUNT_RE.fullmatch(c) for c in cells[2:])
+        ):
+            databases.append(cells[1])
+            terms[cells[1]] = {}
+            docs[cells[1]], totals[cells[1]] = int(cells[2]), int(cells[3])
+        elif (
+            cells[0] == "t"
+            and len(cells) == 3
+            and databases
+            and _MODEL_TERM_RE.fullmatch(cells[1])
+            and cells[1] not in terms[databases[-1]]
+            and _MODEL_COUNT_RE.fullmatch(cells[2])
+            and cells[2] != "0"
+        ):
+            terms[databases[-1]][cells[1]] = int(cells[2])
+        else:
+            return None, lineno
+    if alpha is None:
+        return None, None
+    return (alpha, tuple(databases), terms, totals, docs), None
 
 
 def assignment_rows_reference(assignments, databases):

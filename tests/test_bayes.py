@@ -118,6 +118,16 @@ class TestBuildModel:
         assert model.total_tokens == stats["totals"]
         assert model.doc_counts == stats["docs"]
 
+    def test_database_without_labeled_records_is_a_warning_on_the_bayes_logger(self, caplog):
+        records = [record("a1", "galaxy star", ["astro"]), record("u1", "noise")]
+        with caplog.at_level("WARNING", logger="bibclass.bayes"):
+            model = build_model(records, ("astro", "helio", "phys"), PLAIN)
+        message = "no training records labeled '{}'; it keeps only smoothed mass"
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("bibclass.bayes", "WARNING", message.format(db)) for db in ("helio", "phys")
+        ]
+        assert model.doc_counts == {"astro": 1, "helio": 0, "phys": 0}
+
     def test_counts_use_title_and_abstract(self):
         rec = BibRecord(
             id="a1",

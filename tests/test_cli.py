@@ -988,6 +988,34 @@ class TestOneShotProcess:
         assert found[0] == found[1]
 
 
+class TestWarnings:
+    def test_classify_prints_each_warning_once_on_stderr(self, workspace):
+        model = build(workspace)
+        records = workspace / "test.jsonl"
+        lines = records.read_text(encoding="utf-8").splitlines()
+        records.write_text("\n".join([lines[0], "not json", *lines[1:]]) + "\n", "utf-8")
+        citations = workspace / "citations.tsv"
+        citations.write_text("c1\tr1\nr2\tr2\n" + citations.read_text("utf-8"), "utf-8")
+        env = {k: v for k, v in os.environ.items() if k != cli.CONFIG_ENV_VAR}
+        env["PYTHONPATH"] = str(Path(bibclass.__file__).resolve().parent.parent)
+        argv = ["classify", "--records", "test.jsonl", "--model", str(model)]
+        argv += ["--citations", "citations.tsv", "--memberships", "memberships.tsv"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "bibclass.cli", *argv, "--out", "out.tsv"],
+            cwd=workspace,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == (
+            "WARNING: test.jsonl:2: skipping malformed record line\n"
+            "WARNING: test.jsonl: skipped 1 malformed line(s)\n"
+            "WARNING: citations.tsv:2: dropping self-citation 'r2'\n"
+        )
+        assert "records: 3 (1 skipped)" in proc.stdout
+
+
 class TestWorkers:
     def test_worker_count_never_changes_output(self, bench, bench_model, tmp_path):
         model = tmp_path / "model.txt"

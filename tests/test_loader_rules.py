@@ -1,15 +1,14 @@
-"""The records, memberships and citations readers against the README's line rules.
+"""The records, memberships, citations and model readers against the README's line rules.
 
 Each property writes a generated file and checks that the reader gives
 what the line-by-line reference in ``oracles`` gives: the same records and
 skip count, the same memberships, the same graph and drop counts, the
-same warnings, and a ``DataError`` naming the same line.  The generated
+same model, the same warnings, and a ``DataError`` naming the same line.  The generated
 lines repeat label lists and membership columns, valid copies next to
 variants one character away, so every check is seen both on a list or
 column met for the first time and on one met before.
 """
 
-import dataclasses
 import json
 import logging
 import tempfile
@@ -21,8 +20,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bibclass.corpus import load_citations, load_memberships, load_records
+from bibclass.bayes import CategoryModel, build_model
+from bibclass.corpus import (
+    BibRecord,
+    load_citations,
+    load_memberships,
+    load_model,
+    load_records,
+    save_model,
+)
 from bibclass.errors import DataError
+from bibclass.textpipe import TokenizerConfig
 
 
 @contextmanager
@@ -286,7 +294,123 @@ class TestCitationsFollowTheLineRules:
         if bad_line is None:
             assert graph.citers == citers
             assert graph.memberships == citer_memberships
-            assert dataclasses.asdict(stats) == counts
+            assert stats._asdict() == counts
+
+
+# ---------------------------------------------------------------------------
+# Models.
+# ---------------------------------------------------------------------------
+
+# Counts save_model never writes, then lines it never writes where they land.
+_COUNT_VARIANTS = ["0", "00", "007", " 1", "1 ", "1_000", "+1", "-1", "1.0", "", "\u0661"]
+_STRAY_LINES = [
+    "alpha\t2.0",
+    "alpha\tnan",
+    "alpha\t1e308",
+    "alpha\t1_0",
+    "alpha",
+    "db\tastro\t1\t1",
+    "db\ta,b\t1\t1",
+    "t\tgalaxy\t1",
+    "t\tGalaxy\t1",
+    "t\tgalaxy\t1\t1",
+    "",
+    "# comment",
+]
+
+
+@st.composite
+def model_lines(draw):
+    """A saved model's lines with a few lines repeated, dropped, recounted or added."""
+    lines = ["bibclass-model v1", "alpha\t" + draw(st.sampled_from(["1.0", "0.5", "2.0"]))]
+    databases = st.lists(st.sampled_from(["astro", "phys", "helio"]), min_size=1, unique=True)
+    for db in draw(databases):
+        counts = draw(
+            st.dictionaries(st.sampled_from(["galaxy", "star", "x2y"]), st.integers(1, 5))
+        )
+        lines.append(f"db\t{db}\t{draw(st.integers(0, 3))}\t{sum(counts.values())}")
+        lines += [f"t\t{term}\t{n}" for term, n in sorted(counts.items())]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(1, len(lines) - 1))
+        edit = draw(st.sampled_from(["repeat", "drop", "recount", "add"]))
+        if edit == "repeat":
+            lines.insert(draw(st.integers(1, len(lines))), lines[i])
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "recount" and lines[i].startswith(("db", "t")):
+            cells = lines[i].split("\t")
+            cells[draw(st.integers(2, len(cells) - 1))] = draw(st.sampled_from(_COUNT_VARIANTS))
+            lines[i] = "\t".join(cells)
+        elif edit == "add":
+            lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(_STRAY_LINES)))
+    return lines
+
+
+class TestModelFollowsTheLineRules:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        lines=model_lines(),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        bom=st.booleans(),
+    )
+    @example(
+        lines=["bibclass-model v1", "alpha\t1.0", "db\tastro\t1\t1000"]
+        + ["t\tgalaxy\t999", "t\tgalaxy\t1_000", "alpha\t2.0", "t\tstar\t0"],
+        newline="\n",
+        bom=False,
+    )
+    def test_model_or_error_line_matches_the_reference(self, lines, newline, bom):
+        counts, bad_line = oracles.model_reference(lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.txt"
+            text = "\ufeff" * bom + "".join(line + newline for line in lines)
+            path.write_bytes(text.encode("utf-8"))
+            if counts is None:
+                with pytest.raises(DataError) as raised:
+                    load_model(path)
+                where = f"{path}:{bad_line}: " if bad_line else f"{path}: missing alpha line"
+                assert str(raised.value).startswith(f"corrupt model file at {where}")
+                return
+            alpha, databases, term_counts, total_tokens, doc_counts = counts
+            try:
+                expected = CategoryModel(databases, term_counts, total_tokens, doc_counts, alpha)
+            except (ValueError, OverflowError) as exc:
+                with pytest.raises(DataError) as raised:
+                    load_model(path)
+                assert str(raised.value) == f"corrupt model file {path}: {exc}"
+                return
+            assert load_model(path) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        titles=st.lists(
+            st.tuples(
+                st.text(st.sampled_from("ab xy-Z9\u00e9"), max_size=12),
+                st.sets(st.sampled_from(["astro", "phys"]), min_size=1),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        alpha=st.sampled_from([1.0, 0.5, 0.1, 1e-9, 3.0]),
+    )
+    def test_a_built_model_follows_the_rules_and_saves_back_identically(self, titles, alpha):
+        records = [
+            BibRecord(f"r{i}", f"w {title}", 1999, gold_labels=frozenset(labels))
+            for i, (title, labels) in enumerate(titles)
+        ]
+        databases = tuple(sorted(set().union(*(labels for _, labels in titles))))
+        model = build_model(records, databases, TokenizerConfig(), alpha=alpha)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.txt", Path(tmp) / "second.txt"
+            save_model(model, first)
+            counts, bad_line = oracles.model_reference(
+                first.read_text(encoding="utf-8").splitlines()
+            )
+            assert bad_line is None and counts is not None
+            loaded = load_model(first)
+            save_model(loaded, second)
+            assert loaded == model
+            assert second.read_bytes() == first.read_bytes()
 
 
 def test_the_line_boundaries_listed_are_those_splitlines_splits_at():

@@ -1,6 +1,7 @@
-"""The library imports nothing outside the standard library and itself."""
+"""The library imports nothing outside the standard library and itself, and the CLI little."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,3 +35,19 @@ def test_imports_only_stdlib_and_bibclass(source):
         if name != "bibclass" and name not in sys.stdlib_module_names
     }
     assert outside == set()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_logging():
+    # A CLI run is a short process, so what importing the CLI loads is paid
+    # on every run: dataclasses brings inspect and ast, and logging is only
+    # imported by the first warning.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import bibclass.cli; "
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    src = str(Path(bibclass.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-S", "-I", "-B", "-c", code, src]
+    proc = subprocess.run(argv, capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "bibclass.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "logging", "inspect", "ast"})
