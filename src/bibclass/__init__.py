@@ -4,7 +4,7 @@ Two classifiers share a combiner: a Multinomial Naive Bayes text classifier
 over per-database word frequencies, and a citation classifier over the
 fraction of a record's citing papers already in each database.
 ``classify_corpus``, ``evaluate`` and ``sweep`` all threshold the same
-per-record score tables.
+score tables, one list of counts and one list of values per database.
 """
 
 from bibclass.bayes import TextClassifierConfig, build_model

@@ -4,8 +4,8 @@ A record cited mostly from within one database is taken to belong to that
 database.  The classifier needs enough citations to be meaningful
 (``min_citations``) and a high enough fraction of them from the database
 in question (``ratio_threshold``).  The fractions themselves are computed
-by ``evalhub.citation_score_table`` and thresholded there, on the same
-path as the text classifier's scores.
+by ``evalhub.citation_score_table``, one list per database, and
+thresholded there by the same rule as the text classifier's scores.
 """
 
 from __future__ import annotations

@@ -305,9 +305,10 @@ def load_model(path: str | Path) -> CategoryModel:
     """Read a model written by :func:`save_model`; round-trips are exact.
 
     A line that :func:`save_model` could not have written is corrupt and
-    named: a second ``alpha`` line, a second block for one database or a
-    term repeated within one, a count that is not plain decimal digits
-    (:func:`_model_count`) and a zero term count.  Whatever
+    named: a second ``alpha`` line or one with padding, ``_`` or non-ASCII
+    text, a second block for one database or a term repeated within one, a
+    count that is not plain decimal digits (:func:`_model_count`) and a
+    zero term count.  Whatever
     :class:`~bibclass.bayes.CategoryModel` refuses, such as a model without
     training documents or without terms, is rejected as corrupt too.
     """
@@ -334,7 +335,10 @@ def load_model(path: str | Path) -> CategoryModel:
             if tag == "alpha" and len(parts) == 2:
                 if alpha is not None:
                     raise ValueError("second alpha line")
-                alpha = float(parts[1])
+                text = parts[1]
+                if not text.isascii() or "_" in text or text != text.strip():
+                    raise ValueError(f"alpha {text!r} is not a plain real")
+                alpha = float(text)
             elif tag == "db" and len(parts) == 4:
                 current = parts[1]
                 if not _is_label(current):

@@ -1,28 +1,26 @@
 """One decision path for classify, evaluate and sweep: score, threshold, count.
 
-Every record is scored once per classifier: its filtered token count and
-per-database text score (:func:`text_score_table`), its citer count and
-per-database citation ratio (:func:`citation_score_table`).  A text score
-is :func:`~bibclass.bayes.score_text`'s posterior with
-:func:`~bibclass.bayes.apply_triggers`' boost, one dict per record.  A
-decision point then turns each classifier's rows into bitmasks over the
-records (one Python int, bit ``i`` for ``records[i]``) through one rule,
-count at least the gate and value at least the threshold
-(:func:`_pair_masks`).
-The combined assignment is the union of the two classifiers' masks, so
-either one can rescue records the other cannot classify.
-:func:`classify_corpus` reads each record's databases off the masks at the
-configs' point; :func:`evaluate` and :func:`sweep` count the union against
-a gold mask at one point or at every point of a grid.  Everything runs in
-the calling process; their ``workers`` keyword is accepted and ignored.
+Every record is scored once per classifier into columns in record order:
+filtered token counts and text scores (:func:`text_score_table`,
+:func:`~bibclass.bayes.score_text`'s posterior with
+:func:`~bibclass.bayes.apply_triggers`' boost), or citer counts and
+citation ratios (:func:`citation_score_table`), one value list per
+database.  One C-level rule, count at least the gate and value at least
+the threshold (:func:`_at_least`), thresholds both.  :func:`classify_corpus`
+zips each record's flags into its databases at the configs' point;
+:func:`evaluate` and :func:`sweep` turn them into bitmasks over the
+records (one Python int, bit ``i`` for ``records[i]``) and count the union
+of the two classifiers' masks, so either can rescue records the other
+cannot classify, against a gold mask at one point or at every grid point.
+Everything runs in the calling process; ``workers`` is accepted and ignored.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, product, repeat
+from operator import ge, itemgetter
 from pathlib import Path
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from bibclass.bayes import (
     CategoryModel,
@@ -102,8 +100,10 @@ class SweepGrid(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Per-record score tables: computed once, thresholded many times.
+# Score tables: computed once, thresholded many times.
 # ---------------------------------------------------------------------------
+
+ScoreTable = tuple[list[int], dict[str, list[float]]]
 
 
 def text_score_table(
@@ -111,69 +111,58 @@ def text_score_table(
     model: CategoryModel,
     text_config: TextClassifierConfig,
     tokenizer_config: TokenizerConfig,
-) -> list[tuple[int, dict[str, float]]]:
-    """Token count and boosted per-database score for every record, in record order.
+) -> ScoreTable:
+    """Token counts and boosted per-database scores, one list each, in record order.
 
-    The table depends only on the model and trigger configuration, not on
-    the threshold parameters, so one table serves a whole sweep.
+    Returns ``(counts, {db: scores})`` over ``model.databases``.  The table
+    depends only on the model and trigger configuration, not on the
+    threshold parameters, so one table serves a whole sweep.
     """
-    table = []
+    counts, rows = [], []
     for record in records:
         tokens = filter_tokens(tokenize(record_text(record)), tokenizer_config)
-        scores = apply_triggers(score_text(model, text_config, tokens), tokens, text_config)
-        table.append((len(tokens), scores))
-    return table
+        counts.append(len(tokens))
+        rows.append(apply_triggers(score_text(model, text_config, tokens), tokens, text_config))
+    return counts, {db: list(map(itemgetter(db), rows)) for db in model.databases}
 
 
-def citation_score_table(
-    records: Sequence[BibRecord], graph: CitationGraph
-) -> list[tuple[int, Mapping[str, float]]]:
-    """Citer count and per-database citation ratio for every record, in record order.
+def citation_score_table(records: Sequence[BibRecord], graph: CitationGraph) -> ScoreTable:
+    """Citer counts and per-database citation ratios, one list each, in record order.
 
-    Each citer counts once.  A citer with no database membership counts in
-    the total but never in a ratio's numerator; a citer in several
+    Returns ``(counts, {db: ratios})`` over ``graph.databases``.  A ratio
+    is the share of the record's citers that are members of the database,
+    each citer counted once.  A citer with no database membership counts
+    in the total but never in a ratio's numerator; a citer in several
     databases counts toward each of them, so more than one database can
-    reach the threshold.  Uncited records share one row, count 0 and every
-    ratio 0.0, whose ratios are read-only.
+    reach the threshold.  An uncited record has count 0 and every ratio 0.0.
     """
-    uncited = (0, MappingProxyType({db: 0.0 for db in graph.databases}))
-    table = []
-    for record in records:
-        citing = graph.citers.get(record.id)
-        if not citing:
-            table.append(uncited)
-            continue
-        total = len(citing)
-        hits = {db: 0 for db in graph.databases}
-        for c in citing:
-            for db in graph.memberships[c]:
-                if db in hits:
-                    hits[db] += 1
-        table.append((total, {db: hits[db] / total for db in hits}))
-    return table
+    citing = [graph.citers.get(record.id, ()) for record in records]
+    columns = {}
+    for db in graph.databases:
+        members = {c for c, dbs in graph.memberships.items() if db in dbs}
+        column = columns[db] = [0.0] * len(records)
+        for i, group in enumerate(citing):
+            if group:
+                column[i] = len(members.intersection(group)) / len(group)
+    return list(map(len, citing)), columns
 
 
-def _score_tables(
-    records: Sequence[BibRecord],
+def _databases(
     mode: str,
     model: CategoryModel | None,
     text_config: TextClassifierConfig | None,
     tokenizer_config: TokenizerConfig | None,
     graph: CitationGraph | None,
     cite_config: CitationClassifierConfig | None,
-) -> tuple[tuple[str, ...], list | None, list | None]:
-    """Check ``mode`` and its inputs, then score the records for the classifiers it uses.
+) -> tuple[str, ...]:
+    """Check ``mode`` and its inputs; the databases its classifiers assign.
 
-    Returns ``(databases, text_rows, cite_rows)``: the record-ordered
-    tables of :func:`text_score_table` and :func:`citation_score_table`,
-    or None for a classifier the mode does not use.  Combined mode
-    needs the model and the graph to name the same databases, since each
-    record is scored against both.
+    Combined mode needs the model and the graph to name the same
+    databases, since each record is scored against both.
     """
     if mode not in MODES:
         raise UsageError(f"unknown mode '{mode}'")
-    uses_text = mode in ("text", "combined")
-    uses_citations = mode in ("citation", "combined")
+    uses_text, uses_citations = mode != "citation", mode != "text"
     if uses_text and (model is None or text_config is None or tokenizer_config is None):
         raise UsageError(f"mode '{mode}' needs a model, text config and tokenizer config")
     if uses_citations and (graph is None or cite_config is None):
@@ -183,12 +172,22 @@ def _score_tables(
             f"model databases {list(model.databases)} differ from "
             f"citation graph databases {list(graph.databases)}"
         )
-    text_rows = (
-        text_score_table(records, model, text_config, tokenizer_config) if uses_text else None
-    )
-    cite_rows = citation_score_table(records, graph) if uses_citations else None
-    databases = model.databases if uses_text else graph.databases
-    return databases, text_rows, cite_rows
+    return model.databases if uses_text else graph.databases
+
+
+def _tables(
+    records: Sequence[BibRecord],
+    mode: str,
+    model: CategoryModel | None,
+    text_config: TextClassifierConfig | None,
+    tokenizer_config: TokenizerConfig | None,
+    graph: CitationGraph | None,
+) -> tuple[ScoreTable | None, ScoreTable | None]:
+    """The text and citation tables of the records, None for a classifier ``mode`` does not use."""
+    if mode == "citation":
+        return None, citation_score_table(records, graph)
+    text_table = text_score_table(records, model, text_config, tokenizer_config)
+    return text_table, citation_score_table(records, graph) if mode == "combined" else None
 
 
 def _base_point(
@@ -203,6 +202,11 @@ def _base_point(
     )
 
 
+def _at_least(column: list, bound: float) -> Iterator[bool]:
+    """Whether each entry reaches ``bound``: the one rule for every gate and threshold."""
+    return map(ge, column, repeat(bound))
+
+
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
@@ -212,53 +216,45 @@ def _mask(flags: Iterable[bool]) -> int:
 
 
 def _pair_masks(
-    rows: list[tuple[int, dict[str, float]]] | None,
-    db: str,
-    gates: list[int],
-    thresholds: list[float],
+    table: ScoreTable | None, db: str, gates: list[int], thresholds: list[float]
 ) -> list[int]:
-    """One mask per (gate, threshold) pair, gate-major: the decision rule of both classifiers.
+    """One mask per (gate, threshold) pair, gate-major, over the records of ``table``.
 
-    Bit ``i`` is set iff ``rows[i]`` has a count of at least the gate and a
-    ``db`` value of at least the threshold.  With no rows (the mode does not
-    use this classifier) every mask is empty.
+    Bit ``i`` is set iff record ``i`` passes :func:`_at_least` for the gate
+    and for its ``db`` value.  With no table (the mode does not use this
+    classifier) every mask is empty.
     """
-    if rows is None:
+    if table is None:
         return [0] * (len(gates) * len(thresholds))
-    by_gate = [_mask([count >= gate for count, _ in rows]) for gate in gates]
-    by_threshold = [_mask([values[db] >= t for _, values in rows]) for t in thresholds]
+    counts, values = table
+    by_gate = [_mask(_at_least(counts, gate)) for gate in gates]
+    by_threshold = [_mask(_at_least(values[db], t)) for t in thresholds]
     return [g & t for g in by_gate for t in by_threshold]
 
 
 def _assigned_sets(
-    rows: list[tuple[int, dict[str, float]]] | None,
-    databases: tuple[str, ...],
-    gate: int,
-    threshold: float,
-    n: int,
+    table: ScoreTable | None, databases: tuple[str, ...], gate: int, threshold: float, n: int
 ) -> list[frozenset[str]]:
-    """Each of ``n`` records' databases at one (gate, threshold) pair, read off their masks.
+    """Each of ``n`` records' databases at one (gate, threshold) pair, by :func:`_at_least`.
 
-    Records share few distinct patterns of databases, so each pattern's set
-    is built once.
+    A record's pattern is its gate flag followed by one threshold flag per
+    database.  Records share few distinct patterns, so each pattern's set
+    is built once.  With no table every set is empty.
     """
-    # Bit i of a mask is character i of its reversed binary digits; the slice
-    # drops the lone "0" that formatting writes for zero records.
-    columns = [
-        f"{_pair_masks(rows, db, [gate], [threshold])[0]:0{n}b}"[::-1][:n] for db in databases
-    ]
-    patterns = list(zip(*columns)) if columns else [()] * n
-    sets = {
-        p: frozenset(db for db, bit in zip(databases, p) if bit == "1") for p in set(patterns)
-    }
+    if table is None:
+        return [frozenset()] * n
+    counts, values = table
+    flags = [_at_least(values[db], threshold) for db in databases]
+    patterns = list(zip(_at_least(counts, gate), *flags))
+    sets = {p: frozenset(compress(databases, p[1:]) if p[0] else ()) for p in set(patterns)}
     return [sets[p] for p in patterns]
 
 
 def _grid_reports(
     records: Sequence[BibRecord],
     db: str,
-    text_rows: list | None,
-    cite_rows: list | None,
+    text_table: ScoreTable | None,
+    cite_table: ScoreTable | None,
     nts: list[int],
     sts: list[float],
     ncs: list[int],
@@ -274,9 +270,9 @@ def _grid_reports(
     """
     gold = _mask([db in r.gold_labels for r in records])
     positives = gold.bit_count()
-    cite_pairs = list(zip(product(ncs, rcs), _pair_masks(cite_rows, db, ncs, rcs)))
+    cite_pairs = list(zip(product(ncs, rcs), _pair_masks(cite_table, db, ncs, rcs)))
     reports = []
-    for (nt, st), text_mask in zip(product(nts, sts), _pair_masks(text_rows, db, nts, sts)):
+    for (nt, st), text_mask in zip(product(nts, sts), _pair_masks(text_table, db, nts, sts)):
         for (nc, rc), cite_mask in cite_pairs:
             union = text_mask | cite_mask
             tp = (union & gold).bit_count()
@@ -308,13 +304,12 @@ def classify_corpus(
     workers: int = 1,
 ) -> list[Assignment]:
     """Assign every record in input order, using the classifiers ``mode`` names."""
-    databases, text_rows, cite_rows = _score_tables(
-        records, mode, model, text_config, tokenizer_config, graph, cite_config
-    )
+    databases = _databases(mode, model, text_config, tokenizer_config, graph, cite_config)
+    text_table, cite_table = _tables(records, mode, model, text_config, tokenizer_config, graph)
     p = _base_point(text_config, cite_config)
     n = len(records)
-    via_text = _assigned_sets(text_rows, databases, p.min_words, p.score_threshold, n)
-    via_citation = _assigned_sets(cite_rows, databases, p.min_citations, p.ratio_threshold, n)
+    via_text = _assigned_sets(text_table, databases, p.min_words, p.score_threshold, n)
+    via_citation = _assigned_sets(cite_table, databases, p.min_citations, p.ratio_threshold, n)
     return list(map(Assignment, [r.id for r in records], via_text, via_citation))
 
 
@@ -334,12 +329,11 @@ def evaluate(
     Records count against their own labels, and each report is counted
     exactly as a one-point :func:`sweep` would count it.
     """
-    databases, text_rows, cite_rows = _score_tables(
-        records, mode, model, text_config, tokenizer_config, graph, cite_config
-    )
+    databases = _databases(mode, model, text_config, tokenizer_config, graph, cite_config)
+    text_table, cite_table = _tables(records, mode, model, text_config, tokenizer_config, graph)
     nt, st, nc, rc = _base_point(text_config, cite_config)
     return [
-        _grid_reports(records, db, text_rows, cite_rows, [nt], [st], [nc], [rc])[0]
+        _grid_reports(records, db, text_table, cite_table, [nt], [st], [nc], [rc])[0]
         for db in databases
     ]
 
@@ -367,11 +361,10 @@ def sweep(
     comparison pass over the records per grid value and one AND per pair,
     O(pairs * n) at most; the points cost O(points) big-int operations.
     """
-    databases, text_rows, cite_rows = _score_tables(
-        records, mode, model, text_config, tokenizer_config, graph, cite_config
-    )
+    databases = _databases(mode, model, text_config, tokenizer_config, graph, cite_config)
     if db not in databases:
         raise DataError(f"database '{db}' is not in the configured set {list(databases)}")
+    text_table, cite_table = _tables(records, mode, model, text_config, tokenizer_config, graph)
 
     nts = sorted(set(grids.min_words))
     sts = sorted(set(grids.score_thresholds))
@@ -382,7 +375,7 @@ def sweep(
         ncs, rcs = [base.min_citations], [base.ratio_threshold]
     elif mode == "citation":
         nts, sts = [base.min_words], [base.score_threshold]
-    reports = _grid_reports(records, db, text_rows, cite_rows, nts, sts, ncs, rcs)
+    reports = _grid_reports(records, db, text_table, cite_table, nts, sts, ncs, rcs)
     return SweepGrid(mode=mode, db=db, reports=tuple(reports))
 
 

@@ -9,7 +9,8 @@ exact text-score reference sums logs like the library, so that its floats
 can be compared with ``==``, but recomputes every token's smoothed
 frequency from the model's raw counts instead of reading precomputed rows.
 Sweeps assign every record afresh at every grid point instead of
-combining per-threshold bitmasks.  The tokenizer reference folds every
+combining per-threshold bitmasks, from one ``(count, {db: value})`` row
+per record, into which :func:`table_rows` turns the library's columns.  The tokenizer reference folds every
 text through NFKD and matches compounds and plain words by alternation.
 The file-reader references apply the README's line rules one line at a
 time, with no memo of label lists or membership columns, and find line
@@ -224,6 +225,17 @@ def precision_recall_counts(assigned, gold, db):
     return tp, fp, fn, precision, recall
 
 
+def table_rows(table):
+    """A library score table, ``(counts, {db: values})``, as the rows the references read.
+
+    Each row is ``(count, {db: value})``, in record order; every column
+    must be as long as the counts.
+    """
+    counts, columns = table
+    assert all(len(column) == len(counts) for column in columns.values())
+    return [(n, {db: column[i] for db, column in columns.items()}) for i, n in enumerate(counts)]
+
+
 def assign_reference(index, mode, databases, text_table, cite_table, point):
     """The ``(via_text, via_citation)`` database sets of record ``index`` at one point.
 
@@ -332,9 +344,12 @@ def record_reference(line):
 def records_reference(lines):
     """Read a records file: ``(records, malformed line numbers, duplicate)``.
 
+    A byte-order mark that opens the file is not part of line 1.
     ``duplicate`` is None, or ``(line number, id)`` of the first record
     whose id an earlier record holds, where reading stops.
     """
+    if lines and lines[0].startswith("\ufeff"):
+        lines = [lines[0][1:], *lines[1:]]
     records, malformed, ids = [], [], set()
     for lineno, line in enumerate(lines, start=1):
         record = record_reference(line)
@@ -413,6 +428,11 @@ def citations_reference(lines, known_ids, memberships):
 
 
 _MODEL_COUNT_RE = re.compile(r"0|[1-9][0-9]*")
+# A real as Python writes or reads one: decimal or exponent form, inf, infinity or nan.
+_MODEL_REAL_RE = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf|infinity|nan)",
+    re.ASCII | re.IGNORECASE,
+)
 _MODEL_TERM_RE = re.compile(r"[a-z0-9]*[a-z][a-z0-9]*")
 
 
@@ -420,10 +440,12 @@ def model_reference(lines):
     """Read a model file by the README's format: ``(counts, line of the first bad line)``.
 
     Line 1 is ``bibclass-model v1``.  Every later line is ``alpha<TAB>real``,
-    exactly once in the file; ``db<TAB>name<TAB>documents<TAB>tokens``,
-    which opens a database's block, each name a label and in one block
-    only; or ``t<TAB>term<TAB>count`` inside a block, each term a token
-    and once per block, its count not zero.  Every count is plain decimal
+    exactly once in the file, the real in decimal or exponent form or one
+    of inf, infinity and nan in any case, signed or not, and unpadded;
+    ``db<TAB>name<TAB>documents<TAB>tokens``, which opens a database's
+    block, each name a label and in one block only; or
+    ``t<TAB>term<TAB>count`` inside a block, each term a token and once per
+    block, its count not zero.  Every count is plain decimal
     digits without a leading zero.  ``counts`` is ``(alpha, databases,
     term counts, total tokens, document counts)`` for a file of such lines,
     and None for a file with a bad line or without an alpha line.
@@ -434,10 +456,9 @@ def model_reference(lines):
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split("\t")
         if cells[0] == "alpha" and len(cells) == 2 and alpha is None:
-            try:
-                alpha = float(cells[1])
-            except ValueError:
+            if not _MODEL_REAL_RE.fullmatch(cells[1]):
                 return None, lineno
+            alpha = float(cells[1])
         elif (
             cells[0] == "db"
             and len(cells) == 4

@@ -241,8 +241,10 @@ def test_criterion_5_normalization_and_duplication_invariance(bench_model):
             assert top == top_doubled
 
 
-def _run_cli(args, cwd):
+def _run_cli(args, cwd, hash_seed=None):
     env = {k: v for k, v in os.environ.items() if k != "BIBCLASS_CONFIG"}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     # The child runs in ``cwd``, where a relative PYTHONPATH entry would not
     # resolve, so it imports the package from the same absolute location.
     package_parent = str(Path(bibclass.__file__).resolve().parent.parent)
@@ -274,40 +276,33 @@ def test_criterion_6_round_trip_and_cli_determinism(bench, bench_model, tmp_path
             assert loaded.doc_counts == model.doc_counts
             assert loaded.smoothing_alpha == model.smoothing_alpha
 
-        # Identical CLI invocations are byte-identical, across fresh processes.
+        # Identical CLI invocations are byte-identical across fresh processes
+        # with different string hash seeds, so no set or dict order can leak.
         paths = bench["paths"]
-        model_path = tmp_path / "model.txt"
-        _run_cli(
-            ["build-model", "--records", str(paths["train"]), "--model", str(model_path)],
-            tmp_path,
-        )
+        for seed in (0, 1):
+            _run_cli(
+                ["build-model", "--records", str(paths["train"]), "--model", f"model-{seed}.txt"],
+                tmp_path,
+                seed,
+            )
+        model_bytes = (tmp_path / "model-0.txt").read_bytes()
+        assert model_bytes == (tmp_path / "model-1.txt").read_bytes()
         base = [
             "--records",
             str(paths["test"]),
             "--model",
-            str(model_path),
+            "model-0.txt",
             "--citations",
             str(paths["citations"]),
             "--memberships",
             str(paths["memberships"]),
         ]
-        for name in ("a.tsv", "b.tsv"):
-            _run_cli(["classify", *base, "--out", name], tmp_path)
-        assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
-        for name in ("a.csv", "b.csv"):
-            _run_cli(
-                [
-                    "sweep",
-                    *base,
-                    "--db",
-                    "astronomy",
-                    "--nt",
-                    "3,5",
-                    "--st",
-                    "0.25,0.5",
-                    "--grid-out",
-                    name,
-                ],
-                tmp_path,
-            )
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        sweep_args = ["--db", "astronomy", "--nt", "3,5", "--st", "0.25,0.5"]
+        outputs = []
+        for seed in (0, 1):
+            _run_cli(["classify", *base, "--out", f"{seed}.tsv"], tmp_path, seed)
+            _run_cli(["sweep", *base, *sweep_args, "--grid-out", f"{seed}.csv"], tmp_path, seed)
+            evaluated = _run_cli(["evaluate", *base], tmp_path, seed).stdout
+            written = [(tmp_path / f"{seed}{ext}").read_bytes() for ext in (".tsv", ".csv")]
+            outputs.append((*written, evaluated))
+        assert outputs[0] == outputs[1]

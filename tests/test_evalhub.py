@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 import synth
+from bibclass import evalhub
 from bibclass.bayes import (
     CategoryModel,
     TextClassifierConfig,
@@ -24,6 +25,8 @@ from bibclass.evalhub import (
     Assignment,
     ParamPoint,
     SweepGrids,
+    _assigned_sets,
+    _pair_masks,
     citation_score_table,
     classify_corpus,
     emit_grid_csv,
@@ -150,7 +153,7 @@ class TestClassifyCorpus:
         records, model, graph, text_config, _ = setup
         got = classify_corpus(records, mode="combined", **inputs(setup))
         text_table = reference_text_table(records, model, text_config, PLAIN)
-        cite_table = citation_score_table(records, graph)
+        cite_table = oracles.table_rows(citation_score_table(records, graph))
         assert [a.record_id for a in got] == [r.id for r in records]
         for i, a in enumerate(got):
             want = oracles.assign_reference(
@@ -422,14 +425,22 @@ class TestSweep:
         with pytest.raises(UsageError):
             SweepGrids((), (0.5,), (1,), (0.5,))
 
-    def test_unknown_database_rejected(self, setup):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_unknown_database_rejected_before_scoring(self, setup, monkeypatch, mode):
         records, model, graph, text_config, cite_config = setup
+
+        def fail(*args):
+            raise AssertionError("a record was scored")
+
+        monkeypatch.setattr(evalhub, "text_score_table", fail)
+        monkeypatch.setattr(evalhub, "citation_score_table", fail)
         grids = SweepGrids((1,), (0.5,), (1,), (0.5,))
-        with pytest.raises(DataError, match="nope"):
+        message = re.escape("database 'nope' is not in the configured set ['astro', 'phys']")
+        with pytest.raises(DataError, match=message):
             sweep(
                 records,
                 grids,
-                mode="combined",
+                mode=mode,
                 db="nope",
                 model=model,
                 text_config=text_config,
@@ -538,8 +549,8 @@ class TestSweepProperties:
     @settings(max_examples=300, deadline=None)
     def test_equals_per_point_reference(self, case, mode, db, data):
         records, graph = case
-        text_table = text_score_table(records, _MODEL, _TRIGGERED, PLAIN)
-        cite_table = citation_score_table(records, graph)
+        text_table = oracles.table_rows(text_score_table(records, _MODEL, _TRIGGERED, PLAIN))
+        cite_table = oracles.table_rows(citation_score_table(records, graph))
         counts, scores, totals, ratios = recorded_values(text_table, cite_table)
 
         def values(seen, extra):
@@ -573,13 +584,42 @@ class TestSweepProperties:
         assert got == want
 
 
+# Values a threshold is drawn from too, so records often sit exactly on it.
+_LEVELS = [0.0, 0.25, 1 / 3, 0.5, 1.0]
+
+
+class TestOneDecisionRule:
+    @given(
+        n=st.integers(0, 12),
+        databases=st.sampled_from([(), ("astro",), _DBS, ("astro", "phys", "bio")]),
+        used=st.booleans(),
+        gate=st.integers(0, 6),
+        threshold=st.sampled_from(_LEVELS),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_assigned_sets_and_masks_agree(self, n, databases, used, gate, threshold, data):
+        counts = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+        values = st.lists(st.sampled_from(_LEVELS), min_size=n, max_size=n)
+        table = (counts, {db: data.draw(values) for db in databases}) if used else None
+        sets = _assigned_sets(table, databases, gate, threshold, n)
+        assert len(sets) == n
+        assert all(isinstance(s, frozenset) and s <= set(databases) for s in sets)
+        for db in databases:
+            (mask,) = _pair_masks(table, db, [gate], [threshold])
+            assert mask >> n == 0
+            assert [db in s for s in sets] == [bool(mask >> i & 1) for i in range(n)]
+        if table is None:
+            assert sets == [frozenset()] * n
+
+
 class TestOnePathProperties:
     @given(case=sweep_corpora(), mode=st.sampled_from(MODES), data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_classify_and_evaluate_equal_the_references(self, case, mode, data):
         records, graph = case
-        text_table = text_score_table(records, _MODEL, _TRIGGERED, PLAIN)
-        cite_table = citation_score_table(records, graph)
+        text_table = oracles.table_rows(text_score_table(records, _MODEL, _TRIGGERED, PLAIN))
+        cite_table = oracles.table_rows(citation_score_table(records, graph))
         text_config, cite_config, point = draw_configs(data, text_table, cite_table)
         inputs = dict(
             model=_MODEL,
@@ -689,7 +729,8 @@ class TestTextScoreTableProperties:
         want = oracles.text_table_reference(
             records, model, triggers, text_config.trigger_boost, stop_words, stop_phrases
         )
-        assert text_score_table(records, model, text_config, tokenizer_config) == want
+        got = text_score_table(records, model, text_config, tokenizer_config)
+        assert oracles.table_rows(got) == want
 
 
 class TestEmitGridCsv:
