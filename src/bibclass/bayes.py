@@ -24,7 +24,7 @@ from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from bibclass.errors import DataError, warn
-from bibclass.textpipe import TokenizerConfig, filter_tokens, tokenize
+from bibclass.textpipe import TokenizerConfig, filter_tokens, is_token, tokenize
 from bibclass.values import FrozenValue, Value
 
 if TYPE_CHECKING:
@@ -127,8 +127,9 @@ class TextClassifierConfig(FrozenValue):
 
     ``min_words`` gates how many filtered tokens a record needs before it
     is considered classifiable at all; ``score_threshold`` is the minimum
-    (boosted) score for membership in a database.  Trigger terms must be
-    lowercase so they can match filtered tokens.
+    (boosted) score for membership in a database.  Each trigger term must
+    be a token (:func:`~bibclass.textpipe.is_token`) to match filtered
+    tokens; stop lists are the CLI's check, as this config has no tokenizer.
     """
 
     __slots__ = _fields = ("min_words", "score_threshold", "triggers", "trigger_boost")
@@ -149,8 +150,8 @@ class TextClassifierConfig(FrozenValue):
             raise ValueError("trigger_boost must be in [0, 1]")
         for db, terms in triggers.items():
             for term in terms:
-                if term != term.lower():
-                    raise ValueError(f"trigger term '{term}' for '{db}' is not lowercase")
+                if not is_token(term):
+                    raise ValueError(f"trigger term '{term}' for '{db}' is not a token")
         object.__setattr__(self, "min_words", min_words)
         object.__setattr__(self, "score_threshold", score_threshold)
         object.__setattr__(self, "triggers", triggers)

@@ -271,9 +271,12 @@ def write_text_atomic(path: str | Path, text: str, what: str) -> None:
     """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``.
 
     A failed write removes the temporary file and leaves ``path`` as it
-    was; the failure is a :class:`DataError` naming ``what`` was written.
+    was; the failure, and a path with no file name (``.``, ``/``), is a
+    :class:`DataError` naming ``what`` was written.
     """
     path = Path(path)
+    if not path.name:
+        raise DataError(f"cannot write {what} {path}: the path names no file")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:

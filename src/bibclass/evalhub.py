@@ -1,17 +1,19 @@
 """One decision path for classify, evaluate and sweep: score, threshold, count.
 
-Every record is scored once per classifier into columns in record order:
-filtered token counts and text scores (:func:`text_score_table`,
+One step (:func:`_scored`) checks the mode and its inputs, then scores
+every record once per classifier the mode uses into columns in record
+order: filtered token counts and text scores (:func:`text_score_table`,
 :func:`~bibclass.bayes.score_text`'s posterior with
 :func:`~bibclass.bayes.apply_triggers`' boost), or citer counts and
 citation ratios (:func:`citation_score_table`), one value list per
 database.  One C-level rule, count at least the gate and value at least
 the threshold (:func:`_at_least`), thresholds both.  :func:`classify_corpus`
-zips each record's flags into its databases at the configs' point;
-:func:`evaluate` and :func:`sweep` turn them into bitmasks over the
-records (one Python int, bit ``i`` for ``records[i]``) and count the union
-of the two classifiers' masks, so either can rescue records the other
-cannot classify, against a gold mask at one point or at every grid point.
+zips each record's flags into its databases at the configs' point.
+:func:`evaluate` and :func:`sweep` give each classifier a list of (gate,
+threshold) pairs, each with a bitmask over the records (bit ``i`` for
+``records[i]``; an unused classifier has one pair at the configs' point
+with an empty mask), and count the union of a text and a citation mask,
+so either can rescue records the other cannot classify, against a gold mask.
 Everything runs in the calling process; ``workers`` is accepted and ignored.
 """
 
@@ -147,18 +149,23 @@ def citation_score_table(records: Sequence[BibRecord], graph: CitationGraph) -> 
     return list(map(len, citing)), columns
 
 
-def _databases(
+def _scored(
+    records: Sequence[BibRecord],
     mode: str,
     model: CategoryModel | None,
     text_config: TextClassifierConfig | None,
     tokenizer_config: TokenizerConfig | None,
     graph: CitationGraph | None,
     cite_config: CitationClassifierConfig | None,
-) -> tuple[str, ...]:
-    """Check ``mode`` and its inputs; the databases its classifiers assign.
+    db: str | None = None,
+) -> tuple[tuple[str, ...], ScoreTable | None, ScoreTable | None]:
+    """Check ``mode``, its inputs and ``db``, then score the records.
 
-    Combined mode needs the model and the graph to name the same
-    databases, since each record is scored against both.
+    Returns ``(databases, text_table, cite_table)``: the databases the
+    mode's classifiers assign, and a table for each classifier it uses,
+    None for the other.  Combined mode needs the model and the graph to
+    name the same databases, since each record is scored against both.
+    A ``db`` outside the databases is refused before any record is scored.
     """
     if mode not in MODES:
         raise UsageError(f"unknown mode '{mode}'")
@@ -172,22 +179,14 @@ def _databases(
             f"model databases {list(model.databases)} differ from "
             f"citation graph databases {list(graph.databases)}"
         )
-    return model.databases if uses_text else graph.databases
-
-
-def _tables(
-    records: Sequence[BibRecord],
-    mode: str,
-    model: CategoryModel | None,
-    text_config: TextClassifierConfig | None,
-    tokenizer_config: TokenizerConfig | None,
-    graph: CitationGraph | None,
-) -> tuple[ScoreTable | None, ScoreTable | None]:
-    """The text and citation tables of the records, None for a classifier ``mode`` does not use."""
-    if mode == "citation":
-        return None, citation_score_table(records, graph)
-    text_table = text_score_table(records, model, text_config, tokenizer_config)
-    return text_table, citation_score_table(records, graph) if mode == "combined" else None
+    databases = model.databases if uses_text else graph.databases
+    if db is not None and db not in databases:
+        raise DataError(f"database '{db}' is not in the configured set {list(databases)}")
+    return (
+        databases,
+        text_score_table(records, model, text_config, tokenizer_config) if uses_text else None,
+        citation_score_table(records, graph) if uses_citations else None,
+    )
 
 
 def _base_point(
@@ -215,21 +214,29 @@ def _mask(flags: Iterable[bool]) -> int:
     return int(b"0" + bytes(flags)[::-1].translate(_BIT_DIGITS), 2)
 
 
-def _pair_masks(
-    table: ScoreTable | None, db: str, gates: list[int], thresholds: list[float]
-) -> list[int]:
-    """One mask per (gate, threshold) pair, gate-major, over the records of ``table``.
+_Pairs = list[tuple[tuple[int, float], int]]
 
-    Bit ``i`` is set iff record ``i`` passes :func:`_at_least` for the gate
-    and for its ``db`` value.  With no table (the mode does not use this
-    classifier) every mask is empty.
+
+def _pairs(
+    table: ScoreTable | None,
+    db: str,
+    gates: Iterable[int],
+    thresholds: Iterable[float],
+    base: tuple[int, float],
+) -> _Pairs:
+    """Each distinct (gate, threshold) pair in ascending order, with its mask.
+
+    Bit ``i`` of a pair's mask is set iff record ``i`` of ``table`` passes
+    :func:`_at_least` for the gate and for its ``db`` value.  With no table
+    (the mode does not use this classifier) the one pair is ``base``, with
+    an empty mask.
     """
     if table is None:
-        return [0] * (len(gates) * len(thresholds))
+        return [(base, 0)]
     counts, values = table
-    by_gate = [_mask(_at_least(counts, gate)) for gate in gates]
-    by_threshold = [_mask(_at_least(values[db], t)) for t in thresholds]
-    return [g & t for g in by_gate for t in by_threshold]
+    by_gate = [(g, _mask(_at_least(counts, g))) for g in sorted(set(gates))]
+    by_threshold = [(t, _mask(_at_least(values[db], t))) for t in sorted(set(thresholds))]
+    return [((g, t), gm & tm) for (g, gm), (t, tm) in product(by_gate, by_threshold)]
 
 
 def _assigned_sets(
@@ -251,44 +258,35 @@ def _assigned_sets(
 
 
 def _grid_reports(
-    records: Sequence[BibRecord],
-    db: str,
-    text_table: ScoreTable | None,
-    cite_table: ScoreTable | None,
-    nts: list[int],
-    sts: list[float],
-    ncs: list[int],
-    rcs: list[float],
+    records: Sequence[BibRecord], db: str, text_pairs: _Pairs, cite_pairs: _Pairs
 ) -> list[EvalReport]:
-    """Count ``db`` at every point of ``product(nts, sts, ncs, rcs)``, in that order.
+    """Count ``db`` at every point of ``product(text_pairs, cite_pairs)``, in that order.
 
-    Each (nt, st) pair is a mask of the records the text classifier assigns
-    to ``db`` there, each (nc, rc) pair one for the citation classifier.  A
+    Each text pair's mask holds the records the text classifier assigns to
+    ``db`` there, each citation pair's one for the citation classifier.  A
     point is ``u = T | C``, with TP the bits ``u`` shares with the gold mask
     of the records labeled ``db``.  A zero denominator reads 1: precision
     with nothing assigned, recall with no gold positives.
     """
     gold = _mask([db in r.gold_labels for r in records])
     positives = gold.bit_count()
-    cite_pairs = list(zip(product(ncs, rcs), _pair_masks(cite_table, db, ncs, rcs)))
     reports = []
-    for (nt, st), text_mask in zip(product(nts, sts), _pair_masks(text_table, db, nts, sts)):
-        for (nc, rc), cite_mask in cite_pairs:
-            union = text_mask | cite_mask
-            tp = (union & gold).bit_count()
-            fp = union.bit_count() - tp
-            fn = positives - tp
-            reports.append(
-                EvalReport(
-                    db=db,
-                    tp=tp,
-                    fp=fp,
-                    fn=fn,
-                    precision=tp / (tp + fp) if tp + fp else 1.0,
-                    recall=tp / (tp + fn) if tp + fn else 1.0,
-                    params=ParamPoint(nt, st, nc, rc),
-                )
+    for (text_pair, text_mask), (cite_pair, cite_mask) in product(text_pairs, cite_pairs):
+        union = text_mask | cite_mask
+        tp = (union & gold).bit_count()
+        fp = union.bit_count() - tp
+        fn = positives - tp
+        reports.append(
+            EvalReport(
+                db=db,
+                tp=tp,
+                fp=fp,
+                fn=fn,
+                precision=tp / (tp + fp) if tp + fp else 1.0,
+                recall=tp / (tp + fn) if tp + fn else 1.0,
+                params=ParamPoint(*text_pair, *cite_pair),
             )
+        )
     return reports
 
 
@@ -304,8 +302,9 @@ def classify_corpus(
     workers: int = 1,
 ) -> list[Assignment]:
     """Assign every record in input order, using the classifiers ``mode`` names."""
-    databases = _databases(mode, model, text_config, tokenizer_config, graph, cite_config)
-    text_table, cite_table = _tables(records, mode, model, text_config, tokenizer_config, graph)
+    databases, text_table, cite_table = _scored(
+        records, mode, model, text_config, tokenizer_config, graph, cite_config
+    )
     p = _base_point(text_config, cite_config)
     n = len(records)
     via_text = _assigned_sets(text_table, databases, p.min_words, p.score_threshold, n)
@@ -329,13 +328,16 @@ def evaluate(
     Records count against their own labels, and each report is counted
     exactly as a one-point :func:`sweep` would count it.
     """
-    databases = _databases(mode, model, text_config, tokenizer_config, graph, cite_config)
-    text_table, cite_table = _tables(records, mode, model, text_config, tokenizer_config, graph)
+    databases, text_table, cite_table = _scored(
+        records, mode, model, text_config, tokenizer_config, graph, cite_config
+    )
     nt, st, nc, rc = _base_point(text_config, cite_config)
-    return [
-        _grid_reports(records, db, text_table, cite_table, [nt], [st], [nc], [rc])[0]
-        for db in databases
-    ]
+    reports = []
+    for db in databases:
+        text_pairs = _pairs(text_table, db, [nt], [st], (nt, st))
+        cite_pairs = _pairs(cite_table, db, [nc], [rc], (nc, rc))
+        reports += _grid_reports(records, db, text_pairs, cite_pairs)
+    return reports
 
 
 def sweep(
@@ -361,21 +363,13 @@ def sweep(
     comparison pass over the records per grid value and one AND per pair,
     O(pairs * n) at most; the points cost O(points) big-int operations.
     """
-    databases = _databases(mode, model, text_config, tokenizer_config, graph, cite_config)
-    if db not in databases:
-        raise DataError(f"database '{db}' is not in the configured set {list(databases)}")
-    text_table, cite_table = _tables(records, mode, model, text_config, tokenizer_config, graph)
-
-    nts = sorted(set(grids.min_words))
-    sts = sorted(set(grids.score_thresholds))
-    ncs = sorted(set(grids.min_citations))
-    rcs = sorted(set(grids.ratio_thresholds))
-    base = _base_point(text_config, cite_config)
-    if mode == "text":
-        ncs, rcs = [base.min_citations], [base.ratio_threshold]
-    elif mode == "citation":
-        nts, sts = [base.min_words], [base.score_threshold]
-    reports = _grid_reports(records, db, text_table, cite_table, nts, sts, ncs, rcs)
+    _, text_table, cite_table = _scored(
+        records, mode, model, text_config, tokenizer_config, graph, cite_config, db
+    )
+    nt, st, nc, rc = _base_point(text_config, cite_config)
+    text_pairs = _pairs(text_table, db, grids.min_words, grids.score_thresholds, (nt, st))
+    cite_pairs = _pairs(cite_table, db, grids.min_citations, grids.ratio_thresholds, (nc, rc))
+    reports = _grid_reports(records, db, text_pairs, cite_pairs)
     return SweepGrid(mode=mode, db=db, reports=tuple(reports))
 
 

@@ -423,6 +423,10 @@ class TestTextClassifierConfig:
             ({"min_words": -1}, "min_words must be >= 0"),
             ({"score_threshold": -0.1}, "score_threshold must be in [0, 1]"),
             ({"score_threshold": 1.5}, "score_threshold must be in [0, 1]"),
+            *(
+                ({"triggers": {"astro": frozenset({term})}}, f"'{term}' for 'astro' is not a token")
+                for term in ("x-ray", "two words", "café", "42", "", "Supernova")
+            ),
         ],
     )
     def test_out_of_range_rejected(self, kwargs, message):

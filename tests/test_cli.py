@@ -932,6 +932,12 @@ class TestInputEncoding:
             assert f"{path}:{lineno}" in captured.err
 
 
+# A citation-mode run of the workspace's inputs, which needs no model.
+_CITATION_RUN = (
+    "--mode citation --records test.jsonl --citations citations.tsv --memberships memberships.tsv"
+).split()
+
+
 class TestOneShotProcess:
     def test_hostile_record_lines_are_skipped_without_a_traceback(self, workspace, capsys):
         model = build(workspace)
@@ -963,6 +969,29 @@ class TestOneShotProcess:
         assert proc.stdout.replace(str(dirty_out), str(clean_out)) == clean_stdout.replace(
             "(0 skipped)", "(2 skipped)"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build-model", "--records", "train.jsonl", "--model", "."],
+            ["classify", *_CITATION_RUN, "--out", ""],
+            ["sweep", *_CITATION_RUN, "--db", "astro", "--grid-out", "/"],
+        ],
+    )
+    def test_output_path_with_no_file_name_is_a_data_error(self, workspace, argv):
+        env = {k: v for k, v in os.environ.items() if k != cli.CONFIG_ENV_VAR}
+        env["PYTHONPATH"] = str(Path(bibclass.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "bibclass.cli", *argv],
+            cwd=workspace,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot write ")
+        assert "names no file" in proc.stderr
 
     def test_collector_finds_nothing_that_grows_with_the_input(self, bench, tmp_path):
         # main() turns the cyclic collector off, which is sound only while a
@@ -1111,9 +1140,13 @@ class TestEmitAssignments:
         )
         assert path.read_text(encoding="utf-8") == "id\tzeta,astro\tzeta,astro\tzeta\n"
 
-    def test_unwritable_path_is_data_error(self, tmp_path):
-        with pytest.raises(DataError):
-            cli.emit_assignments([], ("astro",), tmp_path / "missing" / "a.tsv")
+    def test_unwritable_path_is_data_error(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        # A missing directory, and paths that name no file.
+        for path in (tmp_path / "missing" / "a.tsv", "", ".", "/"):
+            with pytest.raises(DataError, match="cannot write assignments file"):
+                cli.emit_assignments([], ("astro",), path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_replace_keeps_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "a.tsv"

@@ -26,7 +26,7 @@ from bibclass.evalhub import (
     ParamPoint,
     SweepGrids,
     _assigned_sets,
-    _pair_masks,
+    _pairs,
     citation_score_table,
     classify_corpus,
     emit_grid_csv,
@@ -606,7 +606,8 @@ class TestOneDecisionRule:
         assert len(sets) == n
         assert all(isinstance(s, frozenset) and s <= set(databases) for s in sets)
         for db in databases:
-            (mask,) = _pair_masks(table, db, [gate], [threshold])
+            ((pair, mask),) = _pairs(table, db, [gate], [threshold], (gate, threshold))
+            assert pair == (gate, threshold)
             assert mask >> n == 0
             assert [db in s for s in sets] == [bool(mask >> i & 1) for i in range(n)]
         if table is None:
@@ -812,7 +813,7 @@ class TestEmitGridCsv:
         assert path.read_text(encoding="utf-8") == "sentinel\n"
         assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
 
-    def test_unwritable_path_is_a_data_error(self, setup, tmp_path):
+    def test_unwritable_path_is_a_data_error(self, setup, tmp_path, monkeypatch):
         records, model, graph, text_config, cite_config = setup
         grids = SweepGrids((4,), (0.6,), (2,), (0.5,))
         grid = sweep(
@@ -826,5 +827,9 @@ class TestEmitGridCsv:
             graph=graph,
             cite_config=cite_config,
         )
-        with pytest.raises(DataError):
-            emit_grid_csv(grid, tmp_path / "missing" / "grid.csv")
+        monkeypatch.chdir(tmp_path)
+        # A missing directory, and paths that name no file.
+        for path in (tmp_path / "missing" / "grid.csv", "", ".", "/"):
+            with pytest.raises(DataError, match="cannot write grid CSV"):
+                emit_grid_csv(grid, path)
+        assert list(tmp_path.iterdir()) == []

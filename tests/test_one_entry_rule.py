@@ -1,4 +1,5 @@
-"""Each input rule has one home: the entry skip in ``errors.read_entries``."""
+"""Each rule has one home: the entry skip in ``errors.read_entries``, and the
+mode check in ``evalhub._scored``."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,21 @@ def test_read_lines_is_called_only_by_the_entry_records_and_model_readers():
         name for source in SOURCES for name, node in calls(source) if callee(node) == "read_lines"
     }
     assert callers == {"read_entries", "load_records", "load_model"}
+
+
+def test_evalhub_compares_mode_only_in_its_check_and_score_step():
+    source = Path(bibclass.__file__).parent / "evalhub.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"), str(source))
+
+    def mode_comparisons(root):
+        return {
+            node
+            for node in ast.walk(root)
+            if isinstance(node, ast.Compare)
+            and any(isinstance(n, ast.Name) and n.id == "mode" for n in ast.walk(node))
+        }
+
+    functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    (scored,) = [f for f in functions if f.name == "_scored"]
+    assert mode_comparisons(scored)
+    assert mode_comparisons(tree) == mode_comparisons(scored)
