@@ -24,8 +24,8 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from bibclass import evalhub
-from bibclass.bayes import CategoryModel, TextClassifierConfig, build_model
-from bibclass.citegraph import CitationClassifierConfig, CitationGraph
+from bibclass.bayes import TextClassifierConfig, build_model
+from bibclass.citegraph import CitationClassifierConfig
 from bibclass.corpus import (
     load_citations,
     load_memberships,
@@ -289,61 +289,49 @@ def load_triggers(
 
 
 def _load_classification_inputs(settings: dict[str, Any], command: str):
-    """Load everything classify/evaluate/sweep share.
+    """Load what classify/evaluate/sweep share, opening only the files the mode uses.
 
     Returns ``(corpus, databases, inputs)``, ``inputs`` being the keyword
-    arguments ``classify_corpus``, ``evaluate`` and ``sweep`` share.  A
-    ``db`` setting must name one of the run's databases.
+    arguments ``classify_corpus``, ``evaluate`` and ``sweep`` share, each
+    added as its file is read.  The read order fixes which error is
+    reported first: stop lists, records, model, memberships, citations, the
+    ``db`` setting (it must name one of the run's databases), triggers.
     """
-    mode = settings["mode"]
-    tokenizer_config = _tokenizer_config(settings)
+    uses_text, uses_citations = evalhub.classifiers_of(settings["mode"])
+    inputs = dict(mode=settings["mode"], tokenizer_config=_tokenizer_config(settings))
     corpus = load_records(_require(settings, "records", command))
-
-    model: CategoryModel | None = None
-    text_config: TextClassifierConfig | None = None
-    graph: CitationGraph | None = None
-    cite_config: CitationClassifierConfig | None = None
     databases: tuple[str, ...] = ()
-
-    if mode in ("text", "combined"):
-        model = load_model(_require(settings, "model", command))
-        databases = model.databases
-    if mode in ("citation", "combined"):
+    if uses_text:
+        inputs["model"] = load_model(_require(settings, "model", command))
+        databases = inputs["model"].databases
+    if uses_citations:
         memberships = load_memberships(_require(settings, "memberships", command))
         if not databases:
             databases = tuple(sorted({db for dbs in memberships.values() for db in dbs}))
             if not databases:
                 raise DataError("membership file names no databases")
         known = set(memberships) | corpus.ids()
-        graph, _ = load_citations(
+        inputs["graph"], _ = load_citations(
             _require(settings, "citations", command), known, memberships, databases
         )
-        cite_config = CitationClassifierConfig(
+        inputs["cite_config"] = CitationClassifierConfig(
             min_citations=settings["nc"][0], ratio_threshold=settings["rc"][0]
         )
     db = settings.get("db")
     if db and db not in databases:
         raise DataError(f"database '{db}' is not in the configured set {list(databases)}")
-    if model is not None:
+    if uses_text:
         triggers = (
-            load_triggers(settings["triggers"], databases, tokenizer_config)
+            load_triggers(settings["triggers"], databases, inputs["tokenizer_config"])
             if settings["triggers"]
             else {}
         )
-        text_config = TextClassifierConfig(
+        inputs["text_config"] = TextClassifierConfig(
             min_words=settings["nt"][0],
             score_threshold=settings["st"][0],
             triggers=triggers,
             trigger_boost=settings["boost"],
         )
-    inputs = dict(
-        mode=mode,
-        model=model,
-        text_config=text_config,
-        tokenizer_config=tokenizer_config,
-        graph=graph,
-        cite_config=cite_config,
-    )
     return corpus, databases, inputs
 
 
@@ -494,7 +482,19 @@ def main() -> None:
     # frees everything else; run() and the library leave the collector as
     # the caller set it.
     gc.disable()
-    sys.exit(run(sys.argv[1:]))
+    try:
+        status = run(sys.argv[1:])
+        if sys.stdout is not None:  # None when the process started without it
+            sys.stdout.flush()
+    except OSError as exc:
+        # run() reports every file it cannot read or write as a DataError,
+        # so this is standard output failing (a closed pipe, a full device),
+        # reported the same way.  Standard output then points at os.devnull,
+        # so the flush at exit finds nothing left to fail on.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        status = 2
+    sys.exit(status)
 
 
 if __name__ == "__main__":

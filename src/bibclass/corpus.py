@@ -270,13 +270,16 @@ def load_citations(
 def write_text_atomic(path: str | Path, text: str, what: str) -> None:
     """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``.
 
-    A failed write removes the temporary file and leaves ``path`` as it
-    was; the failure, and a path with no file name (``.``, ``/``), is a
-    :class:`DataError` naming ``what`` was written.
+    A failed write removes the temporary file, if it was made, and leaves
+    ``path`` as it was; the failure is a :class:`DataError` naming ``what``
+    was written.  So is a path that names no file, one whose last part is
+    empty or ``.`` (``""``, ``/``, ``x/``, ``x/.``), and nothing is written
+    for it: :class:`~pathlib.Path` would read ``x/`` as the file ``x``.
     """
+    given = os.fspath(path)
+    if os.path.basename(given) in ("", "."):
+        raise DataError(f"cannot write {what} {given or '.'}: the path names no file")
     path = Path(path)
-    if not path.name:
-        raise DataError(f"cannot write {what} {path}: the path names no file")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -285,7 +288,10 @@ def write_text_atomic(path: str | Path, text: str, what: str) -> None:
     except OSError as exc:
         raise DataError(f"cannot write {what} {path}: {exc}") from exc
     finally:
-        tmp.unlink(missing_ok=True)
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:
+            pass  # tmp was never made: its directory is missing or its name too long
 
 
 def save_model(model: CategoryModel, path: str | Path) -> None:

@@ -1,8 +1,9 @@
 """One decision path for classify, evaluate and sweep: score, threshold, count.
 
-One step (:func:`_scored`) checks the mode and its inputs, then scores
-every record once per classifier the mode uses into columns in record
-order: filtered token counts and text scores (:func:`text_score_table`,
+One step (:func:`_scored`) checks the inputs of the classifiers the mode
+uses (:func:`classifiers_of`, the one home of the mode rule), then scores
+every record once per classifier into columns in record order: filtered
+token counts and text scores (:func:`text_score_table`,
 :func:`~bibclass.bayes.score_text`'s posterior with
 :func:`~bibclass.bayes.apply_triggers`' boost), or citer counts and
 citation ratios (:func:`citation_score_table`), one value list per
@@ -38,6 +39,16 @@ from bibclass.textpipe import TokenizerConfig, filter_tokens, tokenize
 from bibclass.values import FrozenValue
 
 MODES = ("text", "citation", "combined")
+
+
+def classifiers_of(mode: str) -> tuple[bool, bool]:
+    """Whether ``mode`` runs the text classifier and the citation classifier.
+
+    The one home of the mode rule; an unknown mode is a :class:`UsageError`.
+    """
+    if mode not in MODES:
+        raise UsageError(f"unknown mode '{mode}'")
+    return mode != "citation", mode != "text"
 
 
 class ParamPoint(NamedTuple):
@@ -167,9 +178,7 @@ def _scored(
     name the same databases, since each record is scored against both.
     A ``db`` outside the databases is refused before any record is scored.
     """
-    if mode not in MODES:
-        raise UsageError(f"unknown mode '{mode}'")
-    uses_text, uses_citations = mode != "citation", mode != "text"
+    uses_text, uses_citations = classifiers_of(mode)
     if uses_text and (model is None or text_config is None or tokenizer_config is None):
         raise UsageError(f"mode '{mode}' needs a model, text config and tokenizer config")
     if uses_citations and (graph is None or cite_config is None):
@@ -355,9 +364,12 @@ def sweep(
 ) -> SweepGrid:
     """Evaluate one database over every parameter combination.
 
-    Grids irrelevant to the mode are pinned to the base config values, so
-    a text sweep emits one row per (min_words, score_threshold) pair.  Rows
-    come out in ascending lexicographic order of the parameter tuple.
+    The grids of a classifier the mode does not use are not read: its
+    parameters are pinned to its config's values, or, with no config, to
+    placeholders (``min_words`` 0 and ``score_threshold`` 0.0, or
+    ``min_citations`` 1 and ``ratio_threshold`` 1.0).  So a text sweep
+    emits one row per (min_words, score_threshold) pair.  Rows come out in
+    ascending lexicographic order of the parameter tuple.
 
     The records are scored once.  Building the masks then costs one
     comparison pass over the records per grid value and one AND per pair,

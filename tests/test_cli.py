@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -429,6 +430,29 @@ class TestSweep:
         )
         assert captured.out == ""
         assert not Path("grid.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("mode", "used", "unused", "columns", "placeholders"),
+        [
+            ("text", "--nt 1,5 --st 0.25,0.75", "--nc 2,3", slice(4, 6), ["1", "1.000000"]),
+            ("citation", "--nc 1,2 --rc 0.5,1", "--nt 3,7", slice(2, 4), ["0", "0.000000"]),
+        ],
+    )
+    def test_unused_classifier_columns_hold_placeholders(
+        self, workspace, monkeypatch, mode, used, unused, columns, placeholders
+    ):
+        build(workspace)
+        monkeypatch.chdir(workspace)
+        argv = ["sweep", "--records", "test.jsonl", "--model", "model.txt", "--mode", mode]
+        argv += ["--citations", "citations.tsv", "--memberships", "memberships.tsv"]
+        argv += ["--db", "astro", *used.split()]
+        assert cli.run(argv) == 0
+        plain = Path("grid.csv").read_bytes()
+        assert cli.run([*argv, *unused.split()]) == 0
+        assert Path("grid.csv").read_bytes() == plain
+        rows = [line.split(",") for line in plain.decode("utf-8").splitlines()[1:]]
+        assert len(rows) == 4
+        assert all(row[columns] == placeholders for row in rows)
 
     def test_db_is_required(self, workspace, capsys):
         model = build(workspace)
@@ -976,11 +1000,13 @@ class TestOneShotProcess:
             ["build-model", "--records", "train.jsonl", "--model", "."],
             ["classify", *_CITATION_RUN, "--out", ""],
             ["sweep", *_CITATION_RUN, "--db", "astro", "--grid-out", "/"],
+            ["classify", *_CITATION_RUN, "--out", "x/"],
         ],
     )
     def test_output_path_with_no_file_name_is_a_data_error(self, workspace, argv):
         env = {k: v for k, v in os.environ.items() if k != cli.CONFIG_ENV_VAR}
         env["PYTHONPATH"] = str(Path(bibclass.__file__).resolve().parent.parent)
+        before = sorted(os.listdir(workspace))
         proc = subprocess.run(
             [sys.executable, "-m", "bibclass.cli", *argv],
             cwd=workspace,
@@ -992,6 +1018,44 @@ class TestOneShotProcess:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: cannot write ")
         assert "names no file" in proc.stderr
+        assert sorted(os.listdir(workspace)) == before
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
+    def test_unwritable_standard_output_is_a_data_error(
+        self, workspace, monkeypatch, sink, unbuffered
+    ):
+        if sink == "/dev/full" and not os.path.exists(sink):
+            pytest.skip("no /dev/full on this system")
+        argv = ["classify", *_CITATION_RUN]
+        monkeypatch.chdir(workspace)
+        assert cli.run([*argv, "--out", "expected.tsv"]) == 0
+        env = {k: v for k, v in os.environ.items() if k != cli.CONFIG_ENV_VAR}
+        env["PYTHONPATH"] = str(Path(bibclass.__file__).resolve().parent.parent)
+        env["PYTHONUNBUFFERED"] = unbuffered  # a print fails at once, or the flush at the end
+        if sink == "closed pipe":
+            read_end, stdout = os.pipe()
+            os.close(read_end)  # so every write fails with EPIPE
+            code = errno.EPIPE
+        else:
+            stdout = os.open(sink, os.O_WRONLY)
+            code = errno.ENOSPC
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bibclass.cli", *argv, "--out", "out.tsv"],
+                cwd=workspace,
+                env=env,
+                stdout=stdout,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(stdout)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (
+            f"error: cannot write standard output: [Errno {code}] {os.strerror(code)}\n"
+        )
+        assert Path("out.tsv").read_bytes() == Path("expected.tsv").read_bytes()
 
     def test_collector_finds_nothing_that_grows_with_the_input(self, bench, tmp_path):
         # main() turns the cyclic collector off, which is sound only while a
@@ -1015,6 +1079,72 @@ class TestOneShotProcess:
             finally:
                 gc.enable()
         assert found[0] == found[1]
+
+
+# The flags of each mode's input files, and the arguments each scoring
+# command adds, all relative to the workspace.
+_MODE_FILES = {
+    "text": "--mode text --model model.txt --triggers triggers.tsv",
+    "citation": "--mode citation --citations citations.tsv --memberships memberships.tsv",
+    "combined": "--model model.txt --triggers triggers.tsv "
+    "--citations citations.tsv --memberships memberships.tsv",
+}
+_COMMAND_ARGS = {
+    "classify": "--out out.tsv",
+    "evaluate": "--db astro",
+    "sweep": "--db astro --nt 1,5 --nc 1,4 --grid-out out.tsv",
+}
+
+
+class TestModeReadsOnlyItsFiles:
+    @pytest.fixture()
+    def scoring_run(self, workspace, monkeypatch, capsys):
+        """Run a scoring command in the workspace; returns its status, streams and file."""
+        build(workspace)
+        (workspace / "triggers.tsv").write_text("astro\tquasar\n", encoding="utf-8")
+        monkeypatch.chdir(workspace)
+
+        def scoring_run(command, mode, *extra):
+            capsys.readouterr()
+            argv = [command, "--records", "test.jsonl", *_MODE_FILES[mode].split()]
+            rc = cli.run([*argv, *_COMMAND_ARGS[command].split(), *extra])
+            out = Path("out.tsv")
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            return rc, capsys.readouterr(), written
+
+        return scoring_run
+
+    @pytest.mark.parametrize(
+        ("mode", "unused"),
+        [("text", ["--citations", "--memberships"]), ("citation", ["--model", "--triggers"])],
+    )
+    @pytest.mark.parametrize("command", ["classify", "evaluate", "sweep"])
+    def test_files_the_mode_does_not_use_are_never_opened(
+        self, scoring_run, command, mode, unused
+    ):
+        expected = scoring_run(command, mode)
+        assert expected[0] == 0
+        assert (expected[2] is None) == (command == "evaluate")
+        missing = [arg for flag in unused for arg in (flag, f"missing/{flag[2:]}.txt")]
+        assert scoring_run(command, mode, *missing) == expected
+
+    @pytest.mark.parametrize(
+        ("mode", "flag"),
+        [
+            *[("text", flag) for flag in ("--model", "--triggers")],
+            *[("citation", flag) for flag in ("--citations", "--memberships")],
+            *[("combined", f) for f in ("--model", "--triggers", "--citations", "--memberships")],
+        ],
+    )
+    @pytest.mark.parametrize("command", ["classify", "evaluate", "sweep"])
+    def test_a_missing_file_the_mode_uses_is_a_data_error(self, scoring_run, command, mode, flag):
+        rc, captured, written = scoring_run(command, mode, flag, "missing.txt")
+        assert rc == 2
+        assert captured.err.startswith("error: cannot read ")
+        assert "missing.txt" in captured.err
+        assert captured.out == ""
+        assert written is None
 
 
 class TestWarnings:
@@ -1142,11 +1272,15 @@ class TestEmitAssignments:
 
     def test_unwritable_path_is_data_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        # A missing directory, and paths that name no file.
-        for path in (tmp_path / "missing" / "a.tsv", "", ".", "/"):
+        Path("file").write_text("sentinel\n", encoding="utf-8")
+        # A missing directory, a regular file as the directory, a name too
+        # long for the temporary file beside it, and paths that name no file.
+        unwritable = (tmp_path / "missing" / "a.tsv", "file/a.tsv", "n" * 250)
+        for path in (*unwritable, "", ".", "/", "x/", "x/."):
             with pytest.raises(DataError, match="cannot write assignments file"):
                 cli.emit_assignments([], ("astro",), path)
-        assert list(tmp_path.iterdir()) == []
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert Path("file").read_text(encoding="utf-8") == "sentinel\n"
 
     def test_failed_replace_keeps_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "a.tsv"

@@ -828,8 +828,12 @@ class TestEmitGridCsv:
             cite_config=cite_config,
         )
         monkeypatch.chdir(tmp_path)
-        # A missing directory, and paths that name no file.
-        for path in (tmp_path / "missing" / "grid.csv", "", ".", "/"):
+        (tmp_path / "file").write_text("sentinel\n", encoding="utf-8")
+        # A missing directory, a regular file as the directory, a name too
+        # long for the temporary file beside it, and paths that name no file.
+        unwritable = (tmp_path / "missing" / "grid.csv", "file/grid.csv", "n" * 250)
+        for path in (*unwritable, "", ".", "/", "x/", "x/."):
             with pytest.raises(DataError, match="cannot write grid CSV"):
                 emit_grid_csv(grid, path)
-        assert list(tmp_path.iterdir()) == []
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "sentinel\n"

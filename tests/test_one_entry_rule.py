@@ -1,5 +1,5 @@
 """Each rule has one home: the entry skip in ``errors.read_entries``, and the
-mode check in ``evalhub._scored``."""
+mode rule in ``evalhub.classifiers_of``."""
 
 import ast
 from pathlib import Path
@@ -49,19 +49,33 @@ def test_read_lines_is_called_only_by_the_entry_records_and_model_readers():
     assert callers == {"read_entries", "load_records", "load_model"}
 
 
-def test_evalhub_compares_mode_only_in_its_check_and_score_step():
-    source = Path(bibclass.__file__).parent / "evalhub.py"
-    tree = ast.parse(source.read_text(encoding="utf-8"), str(source))
+def reads_mode(node: ast.AST) -> bool:
+    """Whether ``node`` is the name ``mode``, an attribute ``.mode`` or a ``["mode"]`` lookup."""
+    if isinstance(node, ast.Subscript):
+        node = node.slice
+        return isinstance(node, ast.Constant) and node.value == "mode"
+    return (isinstance(node, ast.Name) and node.id == "mode") or (
+        isinstance(node, ast.Attribute) and node.attr == "mode"
+    )
 
-    def mode_comparisons(root):
-        return {
-            node
-            for node in ast.walk(root)
-            if isinstance(node, ast.Compare)
-            and any(isinstance(n, ast.Name) and n.id == "mode" for n in ast.walk(node))
-        }
 
-    functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
-    (scored,) = [f for f in functions if f.name == "_scored"]
-    assert mode_comparisons(scored)
-    assert mode_comparisons(tree) == mode_comparisons(scored)
+def mode_comparisons(root: ast.AST) -> set[ast.Compare]:
+    return {
+        node
+        for node in ast.walk(root)
+        if isinstance(node, ast.Compare) and any(map(reads_mode, ast.walk(node)))
+    }
+
+
+def test_mode_is_compared_only_in_evalhub_classifiers_of():
+    trees = {s.name: ast.parse(s.read_text(encoding="utf-8"), str(s)) for s in SOURCES}
+    (home,) = [
+        f
+        for f in ast.walk(trees["evalhub.py"])
+        if isinstance(f, ast.FunctionDef) and f.name == "classifiers_of"
+    ]
+    assert mode_comparisons(home)
+    found = {name: mode_comparisons(tree) for name, tree in trees.items()}
+    assert {name: nodes for name, nodes in found.items() if nodes} == {
+        "evalhub.py": mode_comparisons(home)
+    }
