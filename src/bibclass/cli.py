@@ -161,6 +161,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(self.format_usage() + f"error: {message}")
 
+    def _print_message(self, message, file=None):
+        # argparse's writer, except that a failed write raises for main() to report.
+        file = file or sys.stderr  # as in argparse: help goes here without a stdout
+        if message and file is not None:
+            file.write(message)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(

@@ -1,19 +1,19 @@
 """One decision path for classify, evaluate and sweep: score, threshold, count.
 
 One step (:func:`_scored`) checks the inputs of the classifiers the mode
-uses (:func:`classifiers_of`, the one home of the mode rule), then scores
-every record once per classifier into columns in record order: filtered
-token counts and text scores (:func:`text_score_table`,
-:func:`~bibclass.bayes.score_text`'s posterior with
-:func:`~bibclass.bayes.apply_triggers`' boost), or citer counts and
-citation ratios (:func:`citation_score_table`), one value list per
-database.  One C-level rule, count at least the gate and value at least
+uses (:func:`classifiers_of`, the one home of the mode rule; a config not
+given means its type's defaults), then scores every record once per
+classifier into columns in record order: filtered token counts and text
+scores (:func:`text_score_table`, :func:`~bibclass.bayes.score_text`'s
+posterior with :func:`~bibclass.bayes.apply_triggers`' boost), or citer
+counts and citation ratios (:func:`citation_score_table`), one value list
+per database.  One C-level rule, count at least the gate and value at least
 the threshold (:func:`_at_least`), thresholds both.  :func:`classify_corpus`
 zips each record's flags into its databases at the configs' point.
 :func:`evaluate` and :func:`sweep` give each classifier a list of (gate,
 threshold) pairs, each with a bitmask over the records (bit ``i`` for
-``records[i]``; an unused classifier has one pair at the configs' point
-with an empty mask), and count the union of a text and a citation mask,
+``records[i]``; every mask of an unused classifier is empty), and count
+the union of a text and a citation mask at each point of the product,
 so either can rescue records the other cannot classify, against a gold mask.
 Everything runs in the calling process; ``workers`` is accepted and ignored.
 """
@@ -86,7 +86,7 @@ class EvalReport(NamedTuple):
 
 
 class SweepGrids(FrozenValue):
-    """Value lists for the four decision parameters."""
+    """Value lists for the four decision parameters, each nonempty and finite."""
 
     __slots__ = _fields = ("min_words", "score_thresholds", "min_citations", "ratio_thresholds")
 
@@ -101,6 +101,9 @@ class SweepGrids(FrozenValue):
         for name, grid in zip(self._fields, grids):
             if not grid:
                 raise UsageError(f"empty sweep grid for {name}")
+            for value in grid:
+                if not abs(value) < float("inf"):  # false for NaN too
+                    raise UsageError(f"non-finite value {value!r} in sweep grid for {name}")
             object.__setattr__(self, name, grid)
 
 
@@ -169,44 +172,45 @@ def _scored(
     graph: CitationGraph | None,
     cite_config: CitationClassifierConfig | None,
     db: str | None = None,
-) -> tuple[tuple[str, ...], ScoreTable | None, ScoreTable | None]:
+) -> tuple[tuple[str, ...], ScoreTable | None, ScoreTable | None, ParamPoint]:
     """Check ``mode``, its inputs and ``db``, then score the records.
 
-    Returns ``(databases, text_table, cite_table)``: the databases the
-    mode's classifiers assign, and a table for each classifier it uses,
-    None for the other.  Combined mode needs the model and the graph to
-    name the same databases, since each record is scored against both.
-    A ``db`` outside the databases is refused before any record is scored.
+    Returns ``(databases, text_table, cite_table, point)``: the databases
+    the mode's classifiers assign, a table for each classifier it uses
+    (None for the other), and the configs' decision point, a missing
+    config meaning its type's defaults.  Combined mode needs the model and
+    the graph to name the same databases, since each record is scored
+    against both.  A trigger database the model lacks, and a ``db``
+    outside the databases, are refused before any record is scored.
     """
     uses_text, uses_citations = classifiers_of(mode)
-    if uses_text and (model is None or text_config is None or tokenizer_config is None):
-        raise UsageError(f"mode '{mode}' needs a model, text config and tokenizer config")
-    if uses_citations and (graph is None or cite_config is None):
-        raise UsageError(f"mode '{mode}' needs a citation graph and config")
+    text_config = TextClassifierConfig() if text_config is None else text_config
+    cite_config = CitationClassifierConfig() if cite_config is None else cite_config
+    if uses_text and (model is None or tokenizer_config is None):
+        raise UsageError(f"mode '{mode}' needs a model and tokenizer config")
+    if uses_citations and graph is None:
+        raise UsageError(f"mode '{mode}' needs a citation graph")
     if uses_text and uses_citations and set(model.databases) != set(graph.databases):
         raise UsageError(
             f"model databases {list(model.databases)} differ from "
             f"citation graph databases {list(graph.databases)}"
         )
     databases = model.databases if uses_text else graph.databases
+    for trigger_db in text_config.triggers if uses_text else ():
+        if trigger_db not in databases:
+            raise UsageError(f"trigger database '{trigger_db}' is not one of {list(databases)}")
     if db is not None and db not in databases:
         raise DataError(f"database '{db}' is not in the configured set {list(databases)}")
     return (
         databases,
         text_score_table(records, model, text_config, tokenizer_config) if uses_text else None,
         citation_score_table(records, graph) if uses_citations else None,
-    )
-
-
-def _base_point(
-    text_config: TextClassifierConfig | None, cite_config: CitationClassifierConfig | None
-) -> ParamPoint:
-    """The configs' decision point; a classifier without a config gets placeholder values."""
-    return ParamPoint(
-        min_words=text_config.min_words if text_config else 0,
-        score_threshold=text_config.score_threshold if text_config else 0.0,
-        min_citations=cite_config.min_citations if cite_config else 1,
-        ratio_threshold=cite_config.ratio_threshold if cite_config else 1.0,
+        ParamPoint(
+            text_config.min_words,
+            text_config.score_threshold,
+            cite_config.min_citations,
+            cite_config.ratio_threshold,
+        ),
     )
 
 
@@ -227,22 +231,16 @@ _Pairs = list[tuple[tuple[int, float], int]]
 
 
 def _pairs(
-    table: ScoreTable | None,
-    db: str,
-    gates: Iterable[int],
-    thresholds: Iterable[float],
-    base: tuple[int, float],
+    table: ScoreTable | None, db: str, gates: Iterable[int], thresholds: Iterable[float]
 ) -> _Pairs:
     """Each distinct (gate, threshold) pair in ascending order, with its mask.
 
     Bit ``i`` of a pair's mask is set iff record ``i`` of ``table`` passes
-    :func:`_at_least` for the gate and for its ``db`` value.  With no table
-    (the mode does not use this classifier) the one pair is ``base``, with
-    an empty mask.
+    :func:`_at_least` for the gate and for its ``db`` value.
     """
-    if table is None:
-        return [(base, 0)]
-    counts, values = table
+    # No table (the mode does not use this classifier) reads as no records:
+    # every pair is there, with an empty mask.
+    counts, values = table or ([], {db: []})
     by_gate = [(g, _mask(_at_least(counts, g))) for g in sorted(set(gates))]
     by_threshold = [(t, _mask(_at_least(values[db], t))) for t in sorted(set(thresholds))]
     return [((g, t), gm & tm) for (g, gm), (t, tm) in product(by_gate, by_threshold)]
@@ -310,14 +308,13 @@ def classify_corpus(
     cite_config: CitationClassifierConfig | None = None,
     workers: int = 1,
 ) -> list[Assignment]:
-    """Assign every record in input order, using the classifiers ``mode`` names."""
-    databases, text_table, cite_table = _scored(
+    """Assign every record in input order, by ``mode``'s classifiers at the configs' point."""
+    databases, text_table, cite_table, (nt, st, nc, rc) = _scored(
         records, mode, model, text_config, tokenizer_config, graph, cite_config
     )
-    p = _base_point(text_config, cite_config)
     n = len(records)
-    via_text = _assigned_sets(text_table, databases, p.min_words, p.score_threshold, n)
-    via_citation = _assigned_sets(cite_table, databases, p.min_citations, p.ratio_threshold, n)
+    via_text = _assigned_sets(text_table, databases, nt, st, n)
+    via_citation = _assigned_sets(cite_table, databases, nc, rc, n)
     return list(map(Assignment, [r.id for r in records], via_text, via_citation))
 
 
@@ -334,17 +331,16 @@ def evaluate(
 ) -> list[EvalReport]:
     """Precision and recall of every database at the configs' point, in database order.
 
-    Records count against their own labels, and each report is counted
-    exactly as a one-point :func:`sweep` would count it.
+    Each report's ``params`` is that point.  Records count against their own
+    labels, and each report is counted exactly as a one-point :func:`sweep` would.
     """
-    databases, text_table, cite_table = _scored(
+    databases, text_table, cite_table, (nt, st, nc, rc) = _scored(
         records, mode, model, text_config, tokenizer_config, graph, cite_config
     )
-    nt, st, nc, rc = _base_point(text_config, cite_config)
     reports = []
     for db in databases:
-        text_pairs = _pairs(text_table, db, [nt], [st], (nt, st))
-        cite_pairs = _pairs(cite_table, db, [nc], [rc], (nc, rc))
+        text_pairs = _pairs(text_table, db, [nt], [st])
+        cite_pairs = _pairs(cite_table, db, [nc], [rc])
         reports += _grid_reports(records, db, text_pairs, cite_pairs)
     return reports
 
@@ -364,23 +360,21 @@ def sweep(
 ) -> SweepGrid:
     """Evaluate one database over every parameter combination.
 
-    The grids of a classifier the mode does not use are not read: its
-    parameters are pinned to its config's values, or, with no config, to
-    placeholders (``min_words`` 0 and ``score_threshold`` 0.0, or
-    ``min_citations`` 1 and ``ratio_threshold`` 1.0).  So a text sweep
-    emits one row per (min_words, score_threshold) pair.  Rows come out in
-    ascending lexicographic order of the parameter tuple.
+    The rows are the product of the four grids, each sorted and without
+    repeats, in ascending lexicographic order of the parameter tuple, in
+    every mode.  A classifier the mode does not use assigns nothing at any
+    of its points, so its grids only repeat the other's counts.  The
+    configs' decision values are not read.
 
     The records are scored once.  Building the masks then costs one
     comparison pass over the records per grid value and one AND per pair,
     O(pairs * n) at most; the points cost O(points) big-int operations.
     """
-    _, text_table, cite_table = _scored(
+    _, text_table, cite_table, _ = _scored(
         records, mode, model, text_config, tokenizer_config, graph, cite_config, db
     )
-    nt, st, nc, rc = _base_point(text_config, cite_config)
-    text_pairs = _pairs(text_table, db, grids.min_words, grids.score_thresholds, (nt, st))
-    cite_pairs = _pairs(cite_table, db, grids.min_citations, grids.ratio_thresholds, (nc, rc))
+    text_pairs = _pairs(text_table, db, grids.min_words, grids.score_thresholds)
+    cite_pairs = _pairs(cite_table, db, grids.min_citations, grids.ratio_thresholds)
     reports = _grid_reports(records, db, text_pairs, cite_pairs)
     return SweepGrid(mode=mode, db=db, reports=tuple(reports))
 

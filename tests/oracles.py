@@ -257,22 +257,17 @@ def assign_reference(index, mode, databases, text_table, cite_table, point):
     return via_text, via_citation
 
 
-def sweep_reference(records, mode, db, databases, text_table, cite_table, grids, base):
+def sweep_reference(records, mode, db, databases, text_table, cite_table, grids):
     """Sweep one database by assigning every record at every grid point.
 
     ``text_table`` and ``cite_table`` hold one ``(count, {db: value})`` row
     per record, in record order (token count and text score; citer count
     and citation ratio).
-    ``grids`` holds the four value lists (N_t, S_t, N_c, R_c); a mode pins
-    the two it does not use to ``base``, the same four parameters of the
-    base configs.  Returns ``(tp, fp, fn, precision, recall, point)`` per
-    point in ascending point order.
+    ``grids`` holds the four value lists (N_t, S_t, N_c, R_c), swept as
+    their full product in every mode.  Returns ``(tp, fp, fn, precision,
+    recall, point)`` per point in ascending point order.
     """
     nts, sts, ncs, rcs = (sorted(set(values)) for values in grids)
-    if mode == "text":
-        ncs, rcs = [base[2]], [base[3]]
-    elif mode == "citation":
-        nts, sts = [base[0]], [base[1]]
     gold = {i: set(r.gold_labels) for i, r in enumerate(records)}
     rows = []
     for point in product(nts, sts, ncs, rcs):

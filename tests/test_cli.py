@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 import bibclass
 import oracles
 from bibclass import cli, evalhub
+from bibclass.bayes import TextClassifierConfig
+from bibclass.citegraph import CitationClassifierConfig
 from bibclass.corpus import load_model, save_model
 from bibclass.errors import DataError
 from bibclass.evalhub import Assignment
@@ -432,27 +434,36 @@ class TestSweep:
         assert not Path("grid.csv").exists()
 
     @pytest.mark.parametrize(
-        ("mode", "used", "unused", "columns", "placeholders"),
+        ("mode", "used", "unused", "columns", "defaults"),
         [
-            ("text", "--nt 1,5 --st 0.25,0.75", "--nc 2,3", slice(4, 6), ["1", "1.000000"]),
-            ("citation", "--nc 1,2 --rc 0.5,1", "--nt 3,7", slice(2, 4), ["0", "0.000000"]),
+            ("text", "--nt 1,5 --st 0.25,0.75", "--nc 2,3", slice(4, 6), ["4", "0.500000"]),
+            ("citation", "--nc 1,2 --rc 0.5,1", "--nt 3,7", slice(2, 4), ["5", "0.250000"]),
         ],
     )
-    def test_unused_classifier_columns_hold_placeholders(
-        self, workspace, monkeypatch, mode, used, unused, columns, placeholders
+    def test_unused_classifier_grids_multiply_rows(
+        self, workspace, monkeypatch, mode, used, unused, columns, defaults
     ):
         build(workspace)
         monkeypatch.chdir(workspace)
         argv = ["sweep", "--records", "test.jsonl", "--model", "model.txt", "--mode", mode]
         argv += ["--citations", "citations.tsv", "--memberships", "memberships.tsv"]
         argv += ["--db", "astro", *used.split()]
-        assert cli.run(argv) == 0
-        plain = Path("grid.csv").read_bytes()
-        assert cli.run([*argv, *unused.split()]) == 0
-        assert Path("grid.csv").read_bytes() == plain
-        rows = [line.split(",") for line in plain.decode("utf-8").splitlines()[1:]]
-        assert len(rows) == 4
-        assert all(row[columns] == placeholders for row in rows)
+
+        def rows(*extra):
+            assert cli.run([*argv, *extra]) == 0
+            return [line.split(",") for line in Path("grid.csv").read_text("utf-8").splitlines()[1:]]
+
+        def without_unused(rows):
+            return sorted(row[: columns.start] + row[columns.stop :] for row in rows)
+
+        plain = rows()
+        assert len(plain) == 4
+        assert all(row[columns] == defaults for row in plain)
+        doubled = rows(*unused.split())
+        assert len(doubled) == 8
+        assert sorted({row[columns.start] for row in doubled}) == unused.split()[1].split(",")
+        # Each used point appears once per unused value, with the same tp, fp and fn.
+        assert without_unused(doubled) == sorted(without_unused(plain) * 2)
 
     def test_db_is_required(self, workspace, capsys):
         model = build(workspace)
@@ -763,6 +774,25 @@ class TestConfigFile:
         assert rc == 1
 
 
+class TestLibraryDefaults:
+    def test_config_defaults_are_the_flag_defaults(self):
+        # A library call without a config decides where a run without flags does.
+        def typed(*values):
+            return [(type(v), v) for v in values]
+
+        def flag_default(name):
+            flag = cli._FLAGS[name]
+            return flag.parse(flag.default, cli._option(name))
+
+        text, cite = TextClassifierConfig(), CitationClassifierConfig()
+        assert typed(text.min_words, text.score_threshold, text.trigger_boost) == typed(
+            *map(flag_default, ["nt", "st", "boost"])
+        )
+        assert typed(cite.min_citations, cite.ratio_threshold) == typed(
+            *map(flag_default, ["nc", "rc"])
+        )
+
+
 class TestInputEncoding:
     @pytest.mark.parametrize(
         "reader",
@@ -962,6 +992,42 @@ _CITATION_RUN = (
 ).split()
 
 
+def _run_into_unwritable(sink, unbuffered, argv, cwd):
+    """Run the CLI with standard output on ``sink``; it must exit 2 with one line on stderr.
+
+    ``sink`` is a pipe whose reader is gone or ``/dev/full``, and
+    ``unbuffered`` the value of ``PYTHONUNBUFFERED``: set, a write fails at
+    once, else the flush at the end.
+    """
+    if sink == "/dev/full" and not os.path.exists(sink):
+        pytest.skip("no /dev/full on this system")
+    env = {k: v for k, v in os.environ.items() if k != cli.CONFIG_ENV_VAR}
+    env["PYTHONPATH"] = str(Path(bibclass.__file__).resolve().parent.parent)
+    env["PYTHONUNBUFFERED"] = unbuffered
+    if sink == "closed pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)  # so every write fails with EPIPE
+        code = errno.EPIPE
+    else:
+        stdout = os.open(sink, os.O_WRONLY)
+        code = errno.ENOSPC
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bibclass.cli", *argv],
+            cwd=cwd,
+            env=env,
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        f"error: cannot write standard output: [Errno {code}] {os.strerror(code)}\n"
+    )
+
+
 class TestOneShotProcess:
     def test_hostile_record_lines_are_skipped_without_a_traceback(self, workspace, capsys):
         model = build(workspace)
@@ -1025,37 +1091,19 @@ class TestOneShotProcess:
     def test_unwritable_standard_output_is_a_data_error(
         self, workspace, monkeypatch, sink, unbuffered
     ):
-        if sink == "/dev/full" and not os.path.exists(sink):
-            pytest.skip("no /dev/full on this system")
         argv = ["classify", *_CITATION_RUN]
         monkeypatch.chdir(workspace)
         assert cli.run([*argv, "--out", "expected.tsv"]) == 0
-        env = {k: v for k, v in os.environ.items() if k != cli.CONFIG_ENV_VAR}
-        env["PYTHONPATH"] = str(Path(bibclass.__file__).resolve().parent.parent)
-        env["PYTHONUNBUFFERED"] = unbuffered  # a print fails at once, or the flush at the end
-        if sink == "closed pipe":
-            read_end, stdout = os.pipe()
-            os.close(read_end)  # so every write fails with EPIPE
-            code = errno.EPIPE
-        else:
-            stdout = os.open(sink, os.O_WRONLY)
-            code = errno.ENOSPC
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "bibclass.cli", *argv, "--out", "out.tsv"],
-                cwd=workspace,
-                env=env,
-                stdout=stdout,
-                stderr=subprocess.PIPE,
-                text=True,
-            )
-        finally:
-            os.close(stdout)
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr == (
-            f"error: cannot write standard output: [Errno {code}] {os.strerror(code)}\n"
-        )
+        _run_into_unwritable(sink, unbuffered, [*argv, "--out", "out.tsv"], workspace)
         assert Path("out.tsv").read_bytes() == Path("expected.tsv").read_bytes()
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
+    @pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"]])
+    def test_help_to_unwritable_standard_output_is_a_data_error(
+        self, workspace, sink, unbuffered, argv
+    ):
+        _run_into_unwritable(sink, unbuffered, argv, workspace)
 
     def test_collector_finds_nothing_that_grows_with_the_input(self, bench, tmp_path):
         # main() turns the cyclic collector off, which is sound only while a

@@ -1,6 +1,8 @@
+import math
 import os
 import random
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -239,7 +241,7 @@ class TestClassifyCorpus:
 
     def test_citation_mode_without_a_graph_rejected(self, setup):
         records, model, graph, text_config, cite_config = setup
-        with pytest.raises(UsageError, match="needs a citation graph and config"):
+        with pytest.raises(UsageError, match="mode 'citation' needs a citation graph$"):
             classify_corpus(records, mode="citation", cite_config=cite_config)
 
     @pytest.mark.parametrize("graph_dbs", [("physics",), ("astronomy", "physics", "optics")])
@@ -392,34 +394,50 @@ class TestSweep:
         )
         assert len(grid.reports) == 1
 
-    def test_citation_mode_pins_text_grids(self, setup):
+    def test_citation_mode_sweeps_the_text_grids_too(self, setup):
         records, _, graph, _, cite_config = setup
-        grids = SweepGrids((1, 9), (0.1, 0.9), (1, 2), (0.5,))
+        lists = ((1, 9), (0.1, 0.9), (1, 5), (0.5,))
         grid = sweep(
             records,
-            grids,
+            SweepGrids(*lists),
             mode="citation",
             db="astro",
             graph=graph,
             cite_config=cite_config,
         )
-        # Text grids are ignored: one row per citation parameter pair.
-        assert len(grid.reports) == 2
-        assert all(r.params.min_words == 0 for r in grid.reports)
+        # Every point of the product; each text pair repeats the citation counts.
+        assert [r.params for r in grid.reports] == list(product(*lists))
+        counts = [(r.tp, r.fp, r.fn) for r in grid.reports]
+        grids = SweepGrids((5,), (0.25,), (1, 5), (0.5,))
+        one_text_pair = sweep(records, grids, mode="citation", db="astro", graph=graph)
+        assert counts == [(r.tp, r.fp, r.fn) for r in one_text_pair.reports] * 4
+        assert counts[0] != counts[1]
 
-    def test_text_mode_pins_citation_grids(self, setup):
+    def test_text_mode_sweeps_the_citation_grids_too(self, setup):
         records, model, _, text_config, _ = setup
-        grids = SweepGrids((1,), (0.25, 0.75), (1, 5), (0.25, 0.75))
+        lists = ((1,), (0.25, 0.75), (1, 5), (0.25, 0.75))
         grid = sweep(
             records,
-            grids,
+            SweepGrids(*lists),
             mode="text",
             db="astro",
             model=model,
             text_config=text_config,
             tokenizer_config=PLAIN,
         )
-        assert len(grid.reports) == 2
+        # Every point of the product; each citation pair repeats the text counts.
+        assert [r.params for r in grid.reports] == list(product(*lists))
+        counts = [(r.tp, r.fp, r.fn) for r in grid.reports]
+        assert counts == [counts[0]] * 4 + [counts[4]] * 4
+        assert counts[0] != counts[4]
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_value_rejected(self, position, bad):
+        lists = [[5], [0.5, 0.25, 0.75], [4], [0.5]]
+        lists[position].insert(1, bad)
+        with pytest.raises(UsageError, match=f"non-finite value {bad!r} in sweep grid for "):
+            SweepGrids(*map(tuple, lists))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(UsageError):
@@ -477,6 +495,54 @@ class TestSweep:
                 neighbor = by_point.get(ParamPoint(**stricter))
                 if neighbor is not None:
                     assert neighbor.recall <= report.recall
+
+
+class TestMissingConfigs:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_missing_config_means_its_defaults(self, setup, mode):
+        records, model, graph, _, _ = setup
+        scoring = dict(mode=mode, model=model, tokenizer_config=PLAIN, graph=graph)
+        defaults = dict(text_config=TextClassifierConfig(), cite_config=CitationClassifierConfig())
+        grids = SweepGrids((0, 5), (0.25, 0.6), (1, 4), (0.5, 0.75))
+        for call in (classify_corpus, evaluate):
+            assert call(records, **scoring) == call(records, **scoring, **defaults)
+        assert sweep(records, grids, db="astro", **scoring) == sweep(
+            records, grids, db="astro", **scoring, **defaults
+        )
+        (report, _) = evaluate(records, **scoring)
+        assert report.params == ParamPoint(5, 0.25, 4, 0.5)
+
+    @pytest.mark.parametrize("mode", ["text", "combined"])
+    @pytest.mark.parametrize("trigger_db", ["nope", "astro "])
+    def test_trigger_database_outside_the_model_rejected_before_scoring(
+        self, setup, monkeypatch, mode, trigger_db
+    ):
+        records, model, graph, _, cite_config = setup
+
+        def fail(*args):
+            raise AssertionError("a record was scored")
+
+        monkeypatch.setattr(evalhub, "text_score_table", fail)
+        monkeypatch.setattr(evalhub, "citation_score_table", fail)
+        triggers = {"astro": frozenset({"quasar"}), trigger_db: frozenset({"galaxy"})}
+        message = re.escape(f"trigger database '{trigger_db}' is not one of ['astro', 'phys']")
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            classify_corpus(
+                records,
+                mode=mode,
+                model=model,
+                text_config=TextClassifierConfig(triggers=triggers),
+                tokenizer_config=PLAIN,
+                graph=graph,
+                cite_config=cite_config,
+            )
+
+    def test_citation_mode_reads_no_trigger(self, setup):
+        records, _, graph, _, cite_config = setup
+        inputs = dict(mode="citation", graph=graph, cite_config=cite_config)
+        unused = TextClassifierConfig(triggers={"nope": frozenset({"galaxy"})})
+        got = classify_corpus(records, text_config=unused, **inputs)
+        assert got == classify_corpus(records, **inputs)
 
 
 _DBS = ("astro", "phys")
@@ -564,7 +630,7 @@ class TestSweepProperties:
             data.draw(values(totals, [1, 2, 7])),
             data.draw(values(ratios, [0.25, 0.5, 1.0, 2.0])),
         )
-        text_config, cite_config, base = draw_configs(data, text_table, cite_table)
+        text_config, cite_config, _ = draw_configs(data, text_table, cite_table)
         grid = sweep(
             records,
             grids,
@@ -577,9 +643,7 @@ class TestSweepProperties:
             cite_config=cite_config,
         )
         lists = (grids.min_words, grids.score_thresholds, grids.min_citations, grids.ratio_thresholds)
-        want = oracles.sweep_reference(
-            records, mode, db, _DBS, text_table, cite_table, lists, base
-        )
+        want = oracles.sweep_reference(records, mode, db, _DBS, text_table, cite_table, lists)
         got = [(r.tp, r.fp, r.fn, r.precision, r.recall, r.params) for r in grid.reports]
         assert got == want
 
@@ -606,7 +670,7 @@ class TestOneDecisionRule:
         assert len(sets) == n
         assert all(isinstance(s, frozenset) and s <= set(databases) for s in sets)
         for db in databases:
-            ((pair, mask),) = _pairs(table, db, [gate], [threshold], (gate, threshold))
+            ((pair, mask),) = _pairs(table, db, [gate], [threshold])
             assert pair == (gate, threshold)
             assert mask >> n == 0
             assert [db in s for s in sets] == [bool(mask >> i & 1) for i in range(n)]
@@ -644,7 +708,7 @@ class TestOnePathProperties:
         assert [r.db for r in reports] == list(_DBS)
         for r in reports:
             (want_row,) = oracles.sweep_reference(
-                records, mode, r.db, _DBS, text_table, cite_table, [[v] for v in point], point
+                records, mode, r.db, _DBS, text_table, cite_table, [[v] for v in point]
             )
             assert (r.tp, r.fp, r.fn, r.precision, r.recall, r.params) == want_row
 
