@@ -32,35 +32,30 @@ if TYPE_CHECKING:
 
 
 class CategoryModel(Value):
-    """Per-database term counts and totals backing the text classifier.
+    """Per-database term and document counts backing the text classifier.
 
     ``term_counts`` maps database -> term -> occurrence count; only
-    positive counts are stored.  ``vocabulary_size`` is derived: the number
-    of distinct terms seen in any database.  So are ``term_rows`` (term ->
-    the log of its :func:`term_probability` in each database, in
-    ``databases`` order), ``unseen_row`` (that row for a term no database
-    saw) and ``log_priors`` (the log of each database's share of the
-    documents, ``-inf`` for a database without any); these three take no
-    part in equality or ``repr``.  A model without training documents or
-    without terms cannot score a record, so it cannot be constructed
-    either.  Instances are treated as immutable once built.
+    positive counts are stored.  ``total_tokens`` is derived: each
+    database's sum of term counts.  So are ``vocabulary_size`` (the number
+    of distinct terms seen in any database), ``term_rows`` (term -> the log
+    of its :func:`term_probability` in each database, in ``databases``
+    order), ``unseen_row`` (that row for a term no database saw) and
+    ``log_priors`` (the log of each database's share of the documents,
+    ``-inf`` for a database without any); none takes part in equality or
+    ``repr``.  A model without training documents or without terms cannot
+    score a record, so it cannot be constructed either.  Instances are
+    treated as immutable once built.
     """
 
-    _fields = (
-        "databases",
-        "term_counts",
-        "total_tokens",
-        "doc_counts",
-        "smoothing_alpha",
-        "vocabulary_size",
+    _fields = ("databases", "term_counts", "doc_counts", "smoothing_alpha")
+    __slots__ = (
+        *_fields, "total_tokens", "vocabulary_size", "term_rows", "unseen_row", "log_priors"
     )
-    __slots__ = (*_fields, "term_rows", "unseen_row", "log_priors")
 
     def __init__(
         self,
         databases: tuple[str, ...],
         term_counts: dict[str, dict[str, int]],
-        total_tokens: dict[str, int],
         doc_counts: dict[str, int],
         smoothing_alpha: float = 1.0,
     ):
@@ -71,7 +66,7 @@ class CategoryModel(Value):
         if len(set(self.databases)) != len(self.databases):
             raise ValueError("database names must be unique")
         known = set(self.databases)
-        for mapping in (term_counts, total_tokens, doc_counts):
+        for mapping in (term_counts, doc_counts):
             unknown = set(mapping) - known
             if unknown:
                 raise ValueError(f"counts reference unknown databases: {sorted(unknown)}")
@@ -80,16 +75,12 @@ class CategoryModel(Value):
             db: {t: c for t, c in term_counts.get(db, {}).items() if c != 0}
             for db in self.databases
         }
-        self.total_tokens = {db: total_tokens.get(db, 0) for db in self.databases}
         self.doc_counts = {db: doc_counts.get(db, 0) for db in self.databases}
         for db in self.databases:
-            counts = self.term_counts[db]
-            if any(c < 0 for c in counts.values()):
+            if any(c < 0 for c in self.term_counts[db].values()):
                 raise ValueError(f"negative term count in database '{db}'")
-            if self.total_tokens[db] < 0 or self.doc_counts[db] < 0:
+            if self.doc_counts[db] < 0:
                 raise ValueError(f"negative totals for database '{db}'")
-            if sum(counts.values()) != self.total_tokens[db]:
-                raise ValueError(f"total_tokens['{db}'] does not match its term counts")
         total_docs = self.total_docs
         if not total_docs:
             raise ValueError("no training documents")
@@ -100,6 +91,7 @@ class CategoryModel(Value):
             raise ValueError("empty vocabulary")
         priors = [self.doc_counts[db] / total_docs for db in self.databases]
         self.log_priors = tuple(math.log(p) if p else -math.inf for p in priors)
+        self.total_tokens = {db: sum(c.values()) for db, c in self.term_counts.items()}
         self.vocabulary_size = len(vocab)
         terms = list(vocab)
         columns, unseen_logs = [], []
@@ -180,7 +172,6 @@ def build_model(
     """
     databases = tuple(databases)
     term_counts: dict[str, Counter[str]] = {db: Counter() for db in databases}
-    total_tokens = {db: 0 for db in databases}
     doc_counts = {db: 0 for db in databases}
     known = set(databases)
     used = 0
@@ -198,7 +189,6 @@ def build_model(
         for db in databases:
             if db in labels:
                 term_counts[db].update(tokens)
-                total_tokens[db] += len(tokens)
                 doc_counts[db] += 1
     if not any(term_counts.values()):
         raise DataError(f"training produced an empty vocabulary ({used} labeled records)")
@@ -207,8 +197,7 @@ def build_model(
             warn(__name__, "no training records labeled '%s'; it keeps only smoothed mass", db)
     return CategoryModel(
         databases=databases,
-        term_counts={db: dict(term_counts[db]) for db in databases},
-        total_tokens=total_tokens,
+        term_counts=term_counts,
         doc_counts=doc_counts,
         smoothing_alpha=alpha,
     )

@@ -270,17 +270,20 @@ def load_citations(
 def write_text_atomic(path: str | Path, text: str, what: str) -> None:
     """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``.
 
-    A failed write removes the temporary file, if it was made, and leaves
-    ``path`` as it was; the failure is a :class:`DataError` naming ``what``
-    was written.  So is a path that names no file, one whose last part is
-    empty or ``.`` (``""``, ``/``, ``x/``, ``x/.``), and nothing is written
-    for it: :class:`~pathlib.Path` would read ``x/`` as the file ``x``.
+    The temporary file's name is as long for every target, so a name as long
+    as the file system allows can be written; the process id and a hash of
+    the target's name keep it unique.  A failed write removes the temporary
+    file, if it was made, and leaves ``path`` as it was; the failure is a
+    :class:`DataError` naming ``what`` was written.  So is a path that
+    names no file, one whose last part is empty or ``.`` (``""``, ``/``,
+    ``x/``, ``x/.``), and nothing is written for it: :class:`~pathlib.Path`
+    would read ``x/`` as the file ``x``.
     """
     given = os.fspath(path)
     if os.path.basename(given) in ("", "."):
         raise DataError(f"cannot write {what} {given or '.'}: the path names no file")
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".bibclass.{os.getpid()}.{hash(path.name) % 2**64:016x}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -291,7 +294,7 @@ def write_text_atomic(path: str | Path, text: str, what: str) -> None:
         try:
             tmp.unlink(missing_ok=True)
         except OSError:
-            pass  # tmp was never made: its directory is missing or its name too long
+            pass  # tmp was never made: its directory is missing or not a directory
 
 
 def save_model(model: CategoryModel, path: str | Path) -> None:
@@ -317,9 +320,10 @@ def load_model(path: str | Path) -> CategoryModel:
     named: a second ``alpha`` line or one with padding, ``_`` or non-ASCII
     text, a second block for one database or a term repeated within one, a
     count that is not plain decimal digits (:func:`_model_count`) and a
-    zero term count.  Whatever
-    :class:`~bibclass.bayes.CategoryModel` refuses, such as a model without
-    training documents or without terms, is rejected as corrupt too.
+    zero term count.  Then, block by block, a ``tokens`` column that is not
+    the sum of the block's term counts makes the model corrupt as a whole;
+    so does whatever :class:`~bibclass.bayes.CategoryModel` refuses, such
+    as a non-finite alpha or a model without training documents or terms.
     """
     lines = read_lines(path, "model file")
     _, header = next(lines, (1, ""))
@@ -379,10 +383,12 @@ def load_model(path: str | Path) -> CategoryModel:
     if alpha is None:
         raise DataError(f"corrupt model file at {path}: missing alpha line")
     try:
+        for db in databases:
+            if sum(term_counts[db].values()) != total_tokens[db]:
+                raise ValueError(f"total_tokens['{db}'] does not match its term counts")
         return CategoryModel(
             databases=tuple(databases),
             term_counts=term_counts,
-            total_tokens=total_tokens,
             doc_counts=doc_counts,
             smoothing_alpha=alpha,
         )

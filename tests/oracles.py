@@ -91,8 +91,8 @@ def text_scores_reference(model, tokens):
     """Naive Bayes scores of a filtered token stream, from the model's raw counts.
 
     Each token's smoothed frequency in each database is computed afresh and
-    its log summed in token order; the vocabulary is re-derived from the
-    counts.
+    its log summed in token order; the vocabulary and each database's token
+    total are re-derived from the counts.
     """
     databases = model.databases
     total_docs = sum(model.doc_counts[db] for db in databases)
@@ -107,8 +107,8 @@ def text_scores_reference(model, tokens):
             continue
         ll = math.log(prior)
         if n:
-            denominator = model.total_tokens[db] + alpha * len(vocab)
             counts = model.term_counts[db]
+            denominator = sum(counts.values()) + alpha * len(vocab)
             ll += sum(math.log((counts.get(t, 0) + alpha) / denominator) for t in tokens) / n
         log_likes.append(ll)
     top = max(log_likes)

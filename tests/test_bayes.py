@@ -178,23 +178,17 @@ class TestLogTables:
         model = CategoryModel(
             databases=("astro", "empty"),
             term_counts={"astro": {"galaxy": 2}},
-            total_tokens={"astro": 2},
             doc_counts={"astro": 1},
         )
         assert model.log_priors == (0.0, -math.inf)
 
     def test_counts_given_are_left_unchanged(self):
         term_counts = {"astro": {"galaxy": 1, "star": 0}}
-        total_tokens = {"astro": 1}
         doc_counts = {"astro": 1}
         model = CategoryModel(
-            databases=("astro", "phys"),
-            term_counts=term_counts,
-            total_tokens=total_tokens,
-            doc_counts=doc_counts,
+            databases=("astro", "phys"), term_counts=term_counts, doc_counts=doc_counts
         )
         assert term_counts == {"astro": {"galaxy": 1, "star": 0}}
-        assert total_tokens == {"astro": 1}
         assert doc_counts == {"astro": 1}
         assert model.term_counts == {"astro": {"galaxy": 1}, "phys": {}}
         assert model.total_tokens == {"astro": 1, "phys": 0}
@@ -215,7 +209,6 @@ class TestLogTables:
             CategoryModel(
                 databases=databases,
                 term_counts=term_counts,
-                total_tokens={db: sum(c.values()) for db, c in term_counts.items()},
                 doc_counts=doc_counts,
             )
 
@@ -233,7 +226,6 @@ class TestLogTables:
             CategoryModel(
                 databases=databases,
                 term_counts=term_counts,
-                total_tokens={"astro": 1},
                 doc_counts={"astro": 1},
             )
 
@@ -286,7 +278,6 @@ def random_models(draw):
     return CategoryModel(
         databases=databases,
         term_counts=term_counts,
-        total_tokens={db: sum(term_counts[db].values()) for db in databases},
         doc_counts=doc_counts,
         smoothing_alpha=draw(
             st.one_of(st.sampled_from([1.0, 0.5, 2.0]), st.floats(1e-3, 50.0))
@@ -320,7 +311,6 @@ class TestScoreText:
         model = CategoryModel(
             databases=("astro", "empty"),
             term_counts={"astro": {"galaxy": 2}, "empty": {}},
-            total_tokens={"astro": 2, "empty": 0},
             doc_counts={"astro": 1, "empty": 0},
         )
         scores = score_text(model, TextClassifierConfig(), ["galaxy"])

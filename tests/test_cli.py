@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import gc
+import inspect
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import bibclass
 import oracles
 from bibclass import cli, evalhub
-from bibclass.bayes import TextClassifierConfig
+from bibclass.bayes import CategoryModel, TextClassifierConfig, build_model
 from bibclass.citegraph import CitationClassifierConfig
 from bibclass.corpus import load_model, save_model
 from bibclass.errors import DataError
@@ -792,6 +793,19 @@ class TestLibraryDefaults:
             *map(flag_default, ["nc", "rc"])
         )
 
+        def keyword_default(function, name):
+            return inspect.signature(function).parameters[name].default
+
+        alpha, mode = flag_default("alpha"), flag_default("mode")
+        assert typed(
+            keyword_default(build_model, "alpha"),
+            keyword_default(CategoryModel, "smoothing_alpha"),
+        ) == typed(alpha, alpha)
+        assert typed(
+            keyword_default(evalhub.classify_corpus, "mode"),
+            keyword_default(evalhub.evaluate, "mode"),
+        ) == typed(mode, mode)
+
 
 class TestInputEncoding:
     @pytest.mark.parametrize(
@@ -1321,14 +1335,22 @@ class TestEmitAssignments:
     def test_unwritable_path_is_data_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         Path("file").write_text("sentinel\n", encoding="utf-8")
-        # A missing directory, a regular file as the directory, a name too
-        # long for the temporary file beside it, and paths that name no file.
-        unwritable = (tmp_path / "missing" / "a.tsv", "file/a.tsv", "n" * 250)
+        # A missing directory, a regular file as the directory, a name longer
+        # than the file system allows, and paths that name no file.
+        unwritable = (tmp_path / "missing" / "a.tsv", "file/a.tsv", "n" * 256)
         for path in (*unwritable, "", ".", "/", "x/", "x/."):
             with pytest.raises(DataError, match="cannot write assignments file"):
                 cli.emit_assignments([], ("astro",), path)
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
         assert Path("file").read_text(encoding="utf-8") == "sentinel\n"
+
+    def test_a_long_name_the_file_system_takes_is_written(self, tmp_path):
+        path = tmp_path / ("n" * 250)
+        cli.emit_assignments(
+            [Assignment("id", frozenset({"astro"}), frozenset())], ("astro",), path
+        )
+        assert path.read_text(encoding="utf-8") == "id\tastro\tastro\t\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     def test_failed_replace_keeps_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "a.tsv"

@@ -267,7 +267,6 @@ def small_model():
     return CategoryModel(
         databases=("astro", "phys"),
         term_counts={"astro": {"galaxy": 3, "star": 1}, "phys": {"quantum": 2}},
-        total_tokens={"astro": 4, "phys": 2},
         doc_counts={"astro": 2, "phys": 1},
         smoothing_alpha=0.7,
     )

@@ -750,7 +750,6 @@ def scoring_models(draw):
     return CategoryModel(
         databases=databases,
         term_counts=term_counts,
-        total_tokens={db: sum(term_counts[db].values()) for db in databases},
         doc_counts=doc_counts,
         smoothing_alpha=draw(st.sampled_from([1.0, 0.5, 2.0, 1e-3])),
     )
@@ -893,11 +892,15 @@ class TestEmitGridCsv:
         )
         monkeypatch.chdir(tmp_path)
         (tmp_path / "file").write_text("sentinel\n", encoding="utf-8")
-        # A missing directory, a regular file as the directory, a name too
-        # long for the temporary file beside it, and paths that name no file.
-        unwritable = (tmp_path / "missing" / "grid.csv", "file/grid.csv", "n" * 250)
+        # A missing directory, a regular file as the directory, a name longer
+        # than the file system allows, and paths that name no file.
+        unwritable = (tmp_path / "missing" / "grid.csv", "file/grid.csv", "n" * 256)
         for path in (*unwritable, "", ".", "/", "x/", "x/."):
             with pytest.raises(DataError, match="cannot write grid CSV"):
                 emit_grid_csv(grid, path)
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
         assert (tmp_path / "file").read_text(encoding="utf-8") == "sentinel\n"
+        # A name the file system takes is written, however long.
+        emit_grid_csv(grid, "n" * 250)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "n" * 250]
+        assert (tmp_path / ("n" * 250)).read_text(encoding="utf-8").startswith("mode,db,")

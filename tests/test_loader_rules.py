@@ -372,6 +372,11 @@ class TestModelFollowsTheLineRules:
         newline="\n",
         bom=False,
     )
+    @example(
+        lines=["bibclass-model v1", "alpha\tnan", "db\tastro\t1\t2", "t\tgalaxy\t1"],
+        newline="\n",
+        bom=False,
+    )
     @with_alpha_examples
     def test_model_or_error_line_matches_the_reference(self, lines, newline, bom):
         counts, bad_line = oracles.model_reference(lines)
@@ -385,9 +390,13 @@ class TestModelFollowsTheLineRules:
                 where = f"{path}:{bad_line}: " if bad_line else f"{path}: missing alpha line"
                 assert str(raised.value).startswith(f"corrupt model file at {where}")
                 return
-            alpha, databases, term_counts, total_tokens, doc_counts = counts
+            alpha, databases, term_counts, tokens, doc_counts = counts
+            wrong = [db for db in databases if sum(term_counts[db].values()) != tokens[db]]
             try:
-                expected = CategoryModel(databases, term_counts, total_tokens, doc_counts, alpha)
+                # A block's tokens column is checked before the model's own rules.
+                if wrong:
+                    raise ValueError(f"total_tokens['{wrong[0]}'] does not match its term counts")
+                expected = CategoryModel(databases, term_counts, doc_counts, alpha)
             except (ValueError, OverflowError) as exc:
                 with pytest.raises(DataError) as raised:
                     load_model(path)
