@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from bibclass.errors import DataError, warn
 from bibclass.textpipe import TokenizerConfig, filter_tokens, is_token, tokenize
-from bibclass.values import FrozenValue, Value
+from bibclass.values import Value
 
 if TYPE_CHECKING:
     from bibclass.corpus import BibRecord
@@ -44,7 +44,7 @@ class CategoryModel(Value):
     ``-inf`` for a database without any); none takes part in equality or
     ``repr``.  A model without training documents or without terms cannot
     score a record, so it cannot be constructed either.  Instances are
-    treated as immutable once built.
+    frozen, so the derived rows always match the counts they came from.
     """
 
     _fields = ("databases", "term_counts", "doc_counts", "smoothing_alpha")
@@ -114,7 +114,7 @@ class CategoryModel(Value):
         return sum(self.doc_counts[db] for db in self.databases)
 
 
-class TextClassifierConfig(FrozenValue):
+class TextClassifierConfig(Value):
     """Decision parameters for the text classifier.
 
     ``min_words`` gates how many filtered tokens a record needs before it
@@ -134,6 +134,8 @@ class TextClassifierConfig(FrozenValue):
         trigger_boost: float = 0.25,
     ):
         triggers = {} if triggers is None else triggers
+        if not abs(min_words) < math.inf:  # false for NaN too
+            raise ValueError(f"min_words must be finite, got {min_words!r}")
         if min_words < 0:
             raise ValueError("min_words must be >= 0")
         if not 0.0 <= score_threshold <= 1.0:
@@ -144,10 +146,10 @@ class TextClassifierConfig(FrozenValue):
             for term in terms:
                 if not is_token(term):
                     raise ValueError(f"trigger term '{term}' for '{db}' is not a token")
-        object.__setattr__(self, "min_words", min_words)
-        object.__setattr__(self, "score_threshold", score_threshold)
-        object.__setattr__(self, "triggers", triggers)
-        object.__setattr__(self, "trigger_boost", trigger_boost)
+        self.min_words = min_words
+        self.score_threshold = score_threshold
+        self.triggers = triggers
+        self.trigger_boost = trigger_boost
 
 
 def record_text(record: BibRecord) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import AbstractSet, Mapping
 
-from bibclass.values import FrozenValue, Value
+from bibclass.values import Value
 
 
 class CitationGraph(Value):
@@ -23,7 +23,7 @@ class CitationGraph(Value):
     citing ids, each with its memberships from the mapping given, or an
     empty set (papers that cite corpus records without belonging to any
     database still count toward citation totals).  The mappings given are
-    not changed.  Instances are immutable after construction.
+    not changed.  Instances are frozen after construction.
     """
 
     __slots__ = _fields = ("citers", "memberships", "databases")
@@ -46,15 +46,17 @@ class CitationGraph(Value):
         }
 
 
-class CitationClassifierConfig(FrozenValue):
+class CitationClassifierConfig(Value):
     """Decision parameters for the citation classifier."""
 
     __slots__ = _fields = ("min_citations", "ratio_threshold")
 
     def __init__(self, min_citations: int = 4, ratio_threshold: float = 0.5):
+        if not abs(min_citations) < float("inf"):  # false for NaN too
+            raise ValueError(f"min_citations must be finite, got {min_citations!r}")
         if min_citations < 1:
             raise ValueError("min_citations must be >= 1")
         if not 0.0 < ratio_threshold <= 1.0:
             raise ValueError("ratio_threshold must be in (0, 1]")
-        object.__setattr__(self, "min_citations", min_citations)
-        object.__setattr__(self, "ratio_threshold", ratio_threshold)
+        self.min_citations = min_citations
+        self.ratio_threshold = ratio_threshold

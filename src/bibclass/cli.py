@@ -492,11 +492,14 @@ def main() -> None:
         status = run(sys.argv[1:])
         if sys.stdout is not None:  # None when the process started without it
             sys.stdout.flush()
-    except OSError as exc:
-        # run() reports every file it cannot read or write as a DataError,
-        # so this is standard output failing (a closed pipe, a full device),
-        # reported the same way.  Standard output then points at os.devnull,
-        # so the flush at exit finds nothing left to fail on.
+    except (OSError, UnicodeEncodeError) as exc:
+        # run() reports every file it cannot read or write as a DataError and
+        # writes only encodable text to files (record ids and labels are
+        # checked, the model and memberships files are read as UTF-8), so
+        # this is standard output failing (a closed pipe, a full device, a
+        # name its encoding lacks letters for), reported the same way.
+        # Standard output then points at os.devnull, so the flush at exit
+        # finds nothing left to fail on.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: cannot write standard output: {exc}", file=sys.stderr)
         status = 2

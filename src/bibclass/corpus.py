@@ -15,7 +15,7 @@ readers strip every cell and skip blank and ``#`` lines (``read_entries``).
 
 Every file is read through :func:`~bibclass.errors.read_lines`: UTF-8
 with an optional byte-order mark, lines ending only at ``\n``, ``\r\n``
-or ``\r``.  Loaded corpora, graphs and models are immutable afterwards.
+or ``\r``.  Loaded corpora, graphs and models are frozen afterwards.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class BibRecord(NamedTuple):
 
 
 class Corpus(Value):
-    """Validated records in input order plus ingest bookkeeping."""
+    """Validated records in input order plus ingest bookkeeping; frozen."""
 
     __slots__ = _fields = ("records", "skipped")
 

@@ -36,7 +36,7 @@ from bibclass.citegraph import CitationClassifierConfig, CitationGraph
 from bibclass.corpus import BibRecord, write_text_atomic
 from bibclass.errors import DataError, UsageError
 from bibclass.textpipe import TokenizerConfig, filter_tokens, tokenize
-from bibclass.values import FrozenValue
+from bibclass.values import Value
 
 MODES = ("text", "citation", "combined")
 
@@ -85,7 +85,7 @@ class EvalReport(NamedTuple):
     params: ParamPoint
 
 
-class SweepGrids(FrozenValue):
+class SweepGrids(Value):
     """Value lists for the four decision parameters, each nonempty and finite."""
 
     __slots__ = _fields = ("min_words", "score_thresholds", "min_citations", "ratio_thresholds")
@@ -104,7 +104,7 @@ class SweepGrids(FrozenValue):
             for value in grid:
                 if not abs(value) < float("inf"):  # false for NaN too
                     raise UsageError(f"non-finite value {value!r} in sweep grid for {name}")
-            object.__setattr__(self, name, grid)
+            setattr(self, name, grid)
 
 
 class SweepGrid(NamedTuple):

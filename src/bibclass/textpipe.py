@@ -26,7 +26,7 @@ from pathlib import Path
 from unicodedata import normalize
 
 from bibclass.errors import read_entries
-from bibclass.values import FrozenValue
+from bibclass.values import Value
 
 # A translate table that lowercases ASCII letters and turns every other byte
 # outside [a-z0-9-] into a space, so splitting on whitespace leaves the words.
@@ -40,7 +40,7 @@ BUNDLED_STOPWORDS = Path(__file__).with_name("data") / "stopwords.txt"
 BUNDLED_STOPPHRASES = Path(__file__).with_name("data") / "stopphrases.txt"
 
 
-class TokenizerConfig(FrozenValue):
+class TokenizerConfig(Value):
     """Filtering rules applied to the raw token stream.
 
     Every stop word and phrase is read with :func:`tokenize` on
@@ -68,11 +68,9 @@ class TokenizerConfig(FrozenValue):
         index: dict[str, list[tuple[str, ...]]] = {}
         for phrase in phrases:
             index.setdefault(phrase[0], []).append(phrase)
-        object.__setattr__(self, "stop_words", frozenset(w[0] for w in words if len(w) == 1))
-        object.__setattr__(self, "stop_phrases", stop_phrases)
-        object.__setattr__(
-            self, "phrase_index", {first: tuple(group) for first, group in index.items()}
-        )
+        self.stop_words = frozenset(w[0] for w in words if len(w) == 1)
+        self.stop_phrases = stop_phrases
+        self.phrase_index = {first: tuple(group) for first, group in index.items()}
 
 
 def tokenize(text: str) -> list[str]:

@@ -411,6 +411,10 @@ class TestTextClassifierConfig:
         "kwargs,message",
         [
             ({"min_words": -1}, "min_words must be >= 0"),
+            *(
+                ({"min_words": gate}, "min_words must be finite")
+                for gate in (math.nan, math.inf, -math.inf)
+            ),
             ({"score_threshold": -0.1}, "score_threshold must be in [0, 1]"),
             ({"score_threshold": 1.5}, "score_threshold must be in [0, 1]"),
             *(
@@ -422,6 +426,9 @@ class TestTextClassifierConfig:
     def test_out_of_range_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             TextClassifierConfig(**kwargs)
+
+    def test_a_finite_non_integer_gate_is_accepted(self):
+        assert TextClassifierConfig(min_words=2.5).min_words == 2.5
 
 
 class TestTextDecision:

@@ -117,6 +117,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             CitationClassifierConfig(min_citations=0)
 
+    @pytest.mark.parametrize("gate", [float("nan"), float("inf"), float("-inf")])
+    def test_min_citations_must_be_finite(self, gate):
+        with pytest.raises(ValueError, match="min_citations must be finite"):
+            CitationClassifierConfig(min_citations=gate)
+
+    def test_a_finite_non_integer_gate_is_accepted(self):
+        assert CitationClassifierConfig(min_citations=2.5).min_citations == 2.5
+
     @pytest.mark.parametrize("ratio", [0.0, 1.5, -0.1])
     def test_ratio_threshold_range(self, ratio):
         with pytest.raises(ValueError):

@@ -1111,6 +1111,27 @@ class TestOneShotProcess:
         _run_into_unwritable(sink, unbuffered, [*argv, "--out", "out.tsv"], workspace)
         assert Path("out.tsv").read_bytes() == Path("expected.tsv").read_bytes()
 
+    def test_summary_standard_output_cannot_encode_is_a_data_error(self, workspace, monkeypatch):
+        memberships = workspace / "memberships.tsv"
+        text = memberships.read_text(encoding="utf-8")
+        memberships.write_text(text.replace("astro", "astronomíe"), encoding="utf-8")
+        argv = ["classify", *_CITATION_RUN]
+        monkeypatch.chdir(workspace)
+        assert cli.run([*argv, "--out", "expected.tsv"]) == 0
+        env = {k: v for k, v in os.environ.items() if k != cli.CONFIG_ENV_VAR}
+        env["PYTHONPATH"] = str(Path(bibclass.__file__).resolve().parent.parent)
+        env["PYTHONIOENCODING"] = "ascii"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bibclass.cli", *argv, "--out", "out.tsv"],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: cannot write standard output: 'ascii' codec")
+        assert proc.stderr.count("\n") == 1
+        assert Path("out.tsv").read_bytes() == Path("expected.tsv").read_bytes()
+
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     @pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
     @pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"]])

@@ -263,12 +263,12 @@ class TestLoadCitations:
             load_citations(path, {"c1", "r1"}, {}, ())
 
 
-def small_model():
+def small_model(alpha=0.7):
     return CategoryModel(
         databases=("astro", "phys"),
         term_counts={"astro": {"galaxy": 3, "star": 1}, "phys": {"quantum": 2}},
         doc_counts={"astro": 2, "phys": 1},
-        smoothing_alpha=0.7,
+        smoothing_alpha=alpha,
     )
 
 
@@ -311,8 +311,7 @@ class TestModelRoundTrip:
         path = tmp_path / "model.txt"
         save_model(small_model(), path)
         before = path.read_bytes()
-        replacement = small_model()
-        replacement.smoothing_alpha = 2.0
+        replacement = small_model(alpha=2.0)
 
         def fail(src, dst):
             raise OSError("disk full")

@@ -1,5 +1,6 @@
-"""Each rule has one home: the entry skip in ``errors.read_entries``, and the
-mode rule in ``evalhub.classifiers_of``."""
+"""Each rule has one home: the entry skip in ``errors.read_entries``, the
+mode rule in ``evalhub.classifiers_of``, and the value rules in
+``values.Value``."""
 
 import ast
 from pathlib import Path
@@ -79,3 +80,40 @@ def test_mode_is_compared_only_in_evalhub_classifiers_of():
     assert {name: nodes for name, nodes in found.items() if nodes} == {
         "evalhub.py": mode_comparisons(home)
     }
+
+
+def assigned_names(cls: ast.ClassDef) -> set[str]:
+    """The names a class body assigns, chained and annotated assignments included."""
+    names = set()
+    for node in cls.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_value_types_stand_on_the_one_frozen_base():
+    trees = {s.name: ast.parse(s.read_text(encoding="utf-8"), str(s)) for s in SOURCES}
+    classes = {
+        name: [c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+        for name, tree in trees.items()
+    }
+    assert [c.name for c in classes["values.py"]] == ["Value"]
+    writers = {
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    }
+    assert writers == {"values.py"}
+    slotted = {
+        (name, c.name): [ast.unparse(base) for base in c.bases]
+        for name, found in classes.items()
+        if name != "values.py"
+        for c in found
+        if {"__slots__", "_fields"} <= assigned_names(c)
+    }
+    assert len(slotted) == 7  # the configs, SweepGrids, CategoryModel, CitationGraph, Corpus
+    assert {key: ["Value"] for key in slotted} == slotted

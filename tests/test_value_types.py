@@ -3,10 +3,11 @@
 Each case lists a type's constructor fields in order, with a sample value
 and a default (or none), a second sample that differs, the derived
 attributes that stay out of equality and ``repr``, and whether the type is
-frozen, hashable and pickled.  One parametrized test checks them all, so
-a type may change how it is written but not how it behaves.
+hashable and pickled.  Every type is frozen.  One parametrized test checks
+them all, so a type may change how it is written but not how it behaves.
 """
 
+import copy
 import pickle
 from typing import NamedTuple
 
@@ -18,6 +19,7 @@ from bibclass.citegraph import CitationClassifierConfig, CitationGraph
 from bibclass.corpus import BibRecord, CitationLoadStats, Corpus
 from bibclass.evalhub import EvalReport, ParamPoint, SweepGrid, SweepGrids
 from bibclass.textpipe import TokenizerConfig
+from bibclass.values import Value
 
 NO_DEFAULT = object()
 
@@ -31,7 +33,6 @@ class Case(NamedTuple):
     # (name, sample, other sample, default or NO_DEFAULT), in constructor order
     fields: list
     derived: list = []  # attributes kept out of equality and repr
-    frozen: bool = True
     hashable: bool = True
     pickled: bool = False
 
@@ -85,8 +86,8 @@ CASES = {
             ("smoothing_alpha", 0.5, 2.0, 1.0),
         ],
         derived=["total_tokens", "vocabulary_size", "term_rows", "unseen_row", "log_priors"],
-        frozen=False,
         hashable=False,
+        pickled=True,
     ),
     "CitationGraph": Case(
         CitationGraph,
@@ -95,14 +96,14 @@ CASES = {
             ("memberships", {"c1": frozenset({"astro"})}, {"c1": frozenset()}, {}),
             ("databases", ("astro",), ("astro", "phys"), ()),
         ],
-        frozen=False,
         hashable=False,
+        pickled=True,
     ),
     "Corpus": Case(
         Corpus,
         [("records", [_RECORD], [], NO_DEFAULT), ("skipped", 2, 3, 0)],
-        frozen=False,
         hashable=False,
+        pickled=True,
     ),
     "CitationLoadStats": Case(
         CitationLoadStats,
@@ -181,18 +182,27 @@ def test_value_type_contract(name):
         with pytest.raises(TypeError):
             hash(obj)
 
-    for field_name, sample in zip(names, samples):
-        if case.frozen:
-            with pytest.raises(AttributeError):
-                setattr(obj, field_name, sample)
-            with pytest.raises(AttributeError):
-                delattr(obj, field_name)
-        else:
-            setattr(obj, field_name, sample)
-            assert getattr(obj, field_name) is sample
+    # Frozen: no field or derived attribute can be written or deleted.
+    for attr in names + case.derived:
+        value = getattr(obj, attr)
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, attr)
+        assert getattr(obj, attr) is value
 
+    # A pickled or copied value is built again by its constructor.
     if case.pickled:
-        clone = pickle.loads(pickle.dumps(obj))
-        assert type(clone) is cls and clone == obj
-        for derived in case.derived:
-            assert getattr(clone, derived) == getattr(obj, derived)
+        for clone in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+            assert type(clone) is cls and clone == obj
+            for derived in case.derived:
+                assert getattr(clone, derived) == getattr(obj, derived)
+
+
+def test_every_type_on_the_value_base_has_a_pickled_case():
+    on_base, todo = set(), [Value]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            on_base.add(sub)
+            todo.append(sub)
+    assert on_base == {case.cls for case in CASES.values() if case.pickled}
