@@ -14,6 +14,12 @@ loaded: :class:`CategoryModel` keeps one row per seen term, the term's
 ``log(term_probability)`` in every database, plus one row for unseen terms
 and the log priors.  Scoring a document looks each token up once and sums
 the rows' columns in token order.
+
+The package has one softmax, in :func:`score_columns`, which scores many
+token lists at once: per list it keeps only the length and the log sums,
+then the priors, means, maxima, exponentials, totals and quotients are
+each one C-level pass over a column per database, with no Python loop or
+dict per list.  :func:`score_text` is its one-list case.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, Sequence
+from operator import add, sub, truediv
+from typing import TYPE_CHECKING, Iterable
 
 from bibclass.errors import DataError, warn
 from bibclass.textpipe import TokenizerConfig, filter_tokens, is_token, tokenize
@@ -220,27 +227,73 @@ def score_text(
 ) -> dict[str, float]:
     """Score a filtered token stream against every database.
 
-    Each database gets log(prior) plus the mean per-token log likelihood;
-    the averaged values are mapped through a softmax so scores sum to 1 and
-    do not depend on document length.  With no tokens the scores reduce to
-    the prior distribution.  The scores are keyed in ``model.databases``
-    order.  Each token is looked up once, for its row of per-database log
-    probabilities; each database's column is summed in token order.
-    ``config`` is not read.
+    The one-record case of :func:`score_columns`, without trigger boosts:
+    the scores sum to 1, do not depend on document length, and with no
+    tokens reduce to the prior distribution.  They are keyed in
+    ``model.databases`` order.  ``config`` is not read.
     """
-    log_likes = model.log_priors
-    n = len(tokens)
-    if n:
-        rows = map(model.term_rows.get, tokens, repeat(model.unseen_row))
-        log_likes = [prior + total / n for prior, total in zip(log_likes, map(sum, zip(*rows)))]
-    return dict(zip(model.databases, _softmax(log_likes)))
+    _, columns = score_columns(model, [tokens], None)
+    return dict(zip(model.databases, [column[0] for column in columns]))
 
 
-def _softmax(values: Sequence[float]) -> list[float]:
-    top = max(values)
-    exps = [math.exp(v - top) for v in values]
-    total = sum(exps)
-    return [e / total for e in exps]
+def score_columns(
+    model: CategoryModel, token_lists: Iterable[list[str]], config: TextClassifierConfig | None
+) -> tuple[list[int], list[list[float]]]:
+    """Token counts and scores of many filtered token lists, one score list per database.
+
+    Returns ``(counts, columns)``: ``counts[i]`` is the length of the
+    ``i``-th list, and ``columns`` holds one list of scores per database,
+    in ``model.databases`` order.  The loop over the lists keeps only each
+    one's length and per-database log sums: each token is looked up once,
+    for its row of per-database log probabilities, and each database's
+    column of the rows is summed in token order with the built-in ``sum``.
+    The softmax then runs as C-level passes over all lists, each new column
+    replacing the one it is built from: log(prior) plus the mean per-token
+    log likelihood (just the prior for an empty list), each list's maximum
+    across the databases, ``exp(v - max)``, each list's total as the
+    built-in ``sum`` of its exps in database order, and each exp over its
+    total.  So a list's scores sum to 1 and do not depend on its length.
+
+    With a ``config``, a list whose tokens meet a database's trigger terms
+    has that database's score raised by the trigger boost, capped at 1, as
+    :func:`apply_triggers` raises it; a trigger database the model lacks is
+    ignored.  With ``None`` no score is boosted.
+    """
+    databases = model.databases
+    k = len(databases)
+    triggers = [
+        (databases.index(db), terms)
+        for db, terms in (config.triggers.items() if config is not None else ())
+        if db in databases
+    ]
+    hits: list[list[int]] = [[] for _ in databases]
+    rows_of, unseen = model.term_rows.get, repeat(model.unseen_row)
+    zeros = (0.0,) * k
+    counts: list[int] = []
+    sums: list[float] = []  # every list's k sums, back to back
+    for tokens in token_lists:
+        for j, terms in triggers:
+            if not terms.isdisjoint(tokens):
+                hits[j].append(len(counts))
+        counts.append(len(tokens))
+        sums += map(sum, zip(*map(rows_of, tokens, unseen))) if tokens else zeros
+    divisors = [n or 1 for n in counts]
+    columns = [
+        list(map(add, repeat(prior), map(truediv, sums[j::k], divisors)))
+        for j, prior in enumerate(model.log_priors)
+    ]
+    del sums, divisors
+    tops = list(map(max, zip(*columns)))
+    for j, column in enumerate(columns):
+        columns[j] = list(map(math.exp, map(sub, column, tops)))
+    del tops
+    totals = list(map(sum, zip(*columns)))
+    for j, column in enumerate(columns):
+        columns[j] = list(map(truediv, column, totals))
+    for column, boosted in zip(columns, hits):
+        for i in boosted:
+            column[i] = min(1.0, column[i] + config.trigger_boost)
+    return counts, columns
 
 
 def apply_triggers(

@@ -4,12 +4,15 @@ One step (:func:`_scored`) checks the inputs of the classifiers the mode
 uses (:func:`classifiers_of`, the one home of the mode rule; a config not
 given means its type's defaults), then scores every record once per
 classifier into columns in record order: filtered token counts and text
-scores (:func:`text_score_table`, :func:`~bibclass.bayes.score_text`'s
-posterior with :func:`~bibclass.bayes.apply_triggers`' boost), or citer
-counts and citation ratios (:func:`citation_score_table`), one value list
-per database.  One C-level rule, count at least the gate and value at least
-the threshold (:func:`_at_least`), thresholds both.  :func:`classify_corpus`
-zips each record's flags into its databases at the configs' point.
+scores (:func:`text_score_table`), or citer counts and citation ratios
+(:func:`citation_score_table`), one value list per database.  The text
+table chains the tokenizer and filter over the records and hands the
+token lists to :func:`~bibclass.bayes.score_columns`, which keeps per
+record only its token count and per-database log sums and then scores,
+and boosts triggered databases, in whole-column passes.  One C-level rule, count at least the gate and value at
+least the threshold (:func:`_at_least`), thresholds both.
+:func:`classify_corpus` zips each record's flags into its databases at the
+configs' point.
 :func:`evaluate` and :func:`sweep` give each classifier a list of (gate,
 threshold) pairs, each with a bitmask over the records (bit ``i`` for
 ``records[i]``; every mask of an unused classifier is empty), and count
@@ -21,16 +24,15 @@ Everything runs in the calling process; ``workers`` is accepted and ignored.
 from __future__ import annotations
 
 from itertools import compress, product, repeat
-from operator import ge, itemgetter
+from operator import ge
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from bibclass.bayes import (
     CategoryModel,
     TextClassifierConfig,
-    apply_triggers,
     record_text,
-    score_text,
+    score_columns,
 )
 from bibclass.citegraph import CitationClassifierConfig, CitationGraph
 from bibclass.corpus import BibRecord, write_text_atomic
@@ -132,14 +134,16 @@ def text_score_table(
 
     Returns ``(counts, {db: scores})`` over ``model.databases``.  The table
     depends only on the model and trigger configuration, not on the
-    threshold parameters, so one table serves a whole sweep.
+    threshold parameters, so one table serves a whole sweep.  The records'
+    filtered tokens are scored by :func:`~bibclass.bayes.score_columns`
+    with ``text_config``'s trigger boosts, column by column rather than
+    record by record; a trigger database the model lacks is ignored.
     """
-    counts, rows = [], []
-    for record in records:
-        tokens = filter_tokens(tokenize(record_text(record)), tokenizer_config)
-        counts.append(len(tokens))
-        rows.append(apply_triggers(score_text(model, text_config, tokens), tokens, text_config))
-    return counts, {db: list(map(itemgetter(db), rows)) for db in model.databases}
+    token_lists = map(
+        filter_tokens, map(tokenize, map(record_text, records)), repeat(tokenizer_config)
+    )
+    counts, columns = score_columns(model, token_lists, text_config)
+    return counts, dict(zip(model.databases, columns))
 
 
 def citation_score_table(records: Sequence[BibRecord], graph: CitationGraph) -> ScoreTable:

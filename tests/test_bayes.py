@@ -14,6 +14,7 @@ from bibclass.bayes import (
     apply_triggers,
     build_model,
     record_text,
+    score_columns,
     score_text,
     term_probability,
 )
@@ -294,6 +295,44 @@ class TestScoreTextProperties:
     def test_equals_per_token_term_probability_exactly(self, model, tokens):
         got = score_text(model, TextClassifierConfig(), tokens)
         assert got == per_token_scores(model, tokens)
+
+
+class TestScoreColumns:
+    @given(
+        model=random_models(),
+        token_lists=st.lists(
+            st.lists(st.sampled_from(_TERMS + ["unseen", "neutrino"]), max_size=20), max_size=8
+        ),
+        triggered=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_each_list_equals_its_per_token_scores_then_its_boost(
+        self, model, token_lists, triggered, data
+    ):
+        config = None
+        if triggered:
+            triggers = data.draw(
+                st.dictionaries(
+                    st.sampled_from([*model.databases, "elsewhere"]),
+                    st.frozensets(st.sampled_from(_TERMS), min_size=1),
+                    min_size=1,
+                )
+            )
+            config = TextClassifierConfig(
+                triggers=triggers, trigger_boost=data.draw(st.sampled_from([0.0, 0.25, 1.0]))
+            )
+        counts, columns = score_columns(model, iter(token_lists), config)
+        assert counts == list(map(len, token_lists))
+        assert len(columns) == len(model.databases)
+        assert all(len(column) == len(token_lists) for column in columns)
+        want = [per_token_scores(model, tokens) for tokens in token_lists]
+        if config is not None:
+            want = [apply_triggers(s, tokens, config) for s, tokens in zip(want, token_lists)]
+        assert [dict(zip(model.databases, row)) for row in zip(*columns)] == want
+
+    def test_no_lists_give_an_empty_column_per_database(self):
+        assert score_columns(toy_model(), [], None) == ([], [[], []])
 
 
 class TestScoreText:

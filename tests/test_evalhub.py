@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 import synth
-from bibclass import evalhub
+from bibclass import bayes, evalhub
 from bibclass.bayes import (
     CategoryModel,
     TextClassifierConfig,
@@ -782,7 +782,8 @@ class TestTextScoreTableProperties:
         if triggered:
             triggers = data.draw(
                 st.dictionaries(
-                    st.sampled_from(model.databases),
+                    # A database the model lacks is ignored, by the table and the reference.
+                    st.sampled_from([*model.databases, "elsewhere"]),
                     st.frozensets(st.sampled_from(["galaxy", "xray", "naive", "ray"]), min_size=1),
                     min_size=1,
                 )
@@ -795,6 +796,30 @@ class TestTextScoreTableProperties:
         )
         got = text_score_table(records, model, text_config, tokenizer_config)
         assert oracles.table_rows(got) == want
+
+    @pytest.mark.parametrize("boost", [0.25, 1.0])
+    def test_scores_by_columns_without_the_per_record_functions(self, setup, monkeypatch, boost):
+        """No record is scored or boosted through ``score_text`` or ``apply_triggers``."""
+        records, model, _, _, _ = setup
+        records = [*records, record("r5", ""), record("r6", "boson nebula fermion")]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a record was scored on its own")
+
+        for module in (bayes, evalhub):
+            for name in ("score_text", "apply_triggers"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        triggers = {
+            "astro": frozenset({"quasar"}),
+            "phys": frozenset({"boson", "neutrino"}),
+            "elsewhere": frozenset({"galaxy"}),
+        }
+        text_config = TextClassifierConfig(triggers=triggers, trigger_boost=boost)
+        want = oracles.text_table_reference(records, model, triggers, boost, set(), set())
+        got = text_score_table(records, model, text_config, PLAIN)
+        assert oracles.table_rows(got) == want
+        assert [n for n, _ in want] == [5, 5, 2, 5, 0, 3]
 
 
 class TestEmitGridCsv:

@@ -1,6 +1,6 @@
 """Each rule has one home: the entry skip in ``errors.read_entries``, the
-mode rule in ``evalhub.classifiers_of``, and the value rules in
-``values.Value``."""
+mode rule in ``evalhub.classifiers_of``, the value rules in
+``values.Value``, and the softmax in ``bayes.score_columns``."""
 
 import ast
 from pathlib import Path
@@ -117,3 +117,26 @@ def test_value_types_stand_on_the_one_frozen_base():
     }
     assert len(slotted) == 7  # the configs, SweepGrids, CategoryModel, CitationGraph, Corpus
     assert {key: ["Value"] for key in slotted} == slotted
+
+
+def exp_reads(root: ast.AST) -> list[ast.AST]:
+    """Every name, attribute or import of ``exp`` under ``root``."""
+    return [
+        node
+        for node in ast.walk(root)
+        if (isinstance(node, ast.Name) and node.id == "exp")
+        or (isinstance(node, ast.Attribute) and node.attr == "exp")
+        or (isinstance(node, ast.alias) and node.name == "exp")
+    ]
+
+
+def test_the_one_softmax_is_bayes_score_columns():
+    trees = {s.name: ast.parse(s.read_text(encoding="utf-8"), str(s)) for s in SOURCES}
+    (home,) = [
+        f
+        for f in ast.walk(trees["bayes.py"])
+        if isinstance(f, ast.FunctionDef) and f.name == "score_columns"
+    ]
+    assert exp_reads(home)
+    found = {name: exp_reads(tree) for name, tree in trees.items()}
+    assert {name: nodes for name, nodes in found.items() if nodes} == {"bayes.py": exp_reads(home)}
