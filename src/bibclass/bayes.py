@@ -129,6 +129,7 @@ class TextClassifierConfig(Value):
     (boosted) score for membership in a database.  Each trigger term must
     be a token (:func:`~bibclass.textpipe.is_token`) to match filtered
     tokens; stop lists are the CLI's check, as this config has no tokenizer.
+    The triggers are kept as a new ``{db: frozenset(terms)}``.
     """
 
     __slots__ = _fields = ("min_words", "score_threshold", "triggers", "trigger_boost")
@@ -137,7 +138,7 @@ class TextClassifierConfig(Value):
         self,
         min_words: int = 5,
         score_threshold: float = 0.25,
-        triggers: dict[str, frozenset[str]] | None = None,
+        triggers: dict[str, Iterable[str]] | None = None,
         trigger_boost: float = 0.25,
     ):
         triggers = {} if triggers is None else triggers
@@ -150,12 +151,14 @@ class TextClassifierConfig(Value):
         if not 0.0 <= trigger_boost <= 1.0:
             raise ValueError("trigger_boost must be in [0, 1]")
         for db, terms in triggers.items():
+            if isinstance(terms, str):
+                raise ValueError(f"trigger terms for '{db}' must be a collection, not a str")
             for term in terms:
                 if not is_token(term):
                     raise ValueError(f"trigger term '{term}' for '{db}' is not a token")
         self.min_words = min_words
         self.score_threshold = score_threshold
-        self.triggers = triggers
+        self.triggers = {db: frozenset(terms) for db, terms in triggers.items()}
         self.trigger_boost = trigger_boost
 
 

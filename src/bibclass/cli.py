@@ -256,7 +256,7 @@ def _tokenizer_config(settings: dict[str, Any]) -> TokenizerConfig:
 
 def load_triggers(
     path: str | Path, databases: tuple[str, ...], tokenizer_config: TokenizerConfig
-) -> dict[str, frozenset[str]]:
+) -> dict[str, set[str]]:
     """Read ``database<TAB>term`` trigger lines into per-database term sets.
 
     Terms are tokenized the same way documents are, so a hyphenated trigger
@@ -291,7 +291,7 @@ def load_triggers(
                 f"trigger term '{term}' at {path}:{lineno} is removed by token filtering"
             )
         triggers.setdefault(db, set()).add(trigger)
-    return {db: frozenset(terms) for db, terms in triggers.items()}
+    return triggers
 
 
 def _load_classification_inputs(settings: dict[str, Any], command: str):
@@ -300,11 +300,14 @@ def _load_classification_inputs(settings: dict[str, Any], command: str):
     Returns ``(corpus, databases, inputs)``, ``inputs`` being the keyword
     arguments ``classify_corpus``, ``evaluate`` and ``sweep`` share, each
     added as its file is read.  The read order fixes which error is
-    reported first: stop lists, records, model, memberships, citations, the
-    ``db`` setting (it must name one of the run's databases), triggers.
+    reported first: stop lists (in modes that use text), records, model,
+    memberships, citations, the ``db`` setting (it must name one of the
+    run's databases), triggers.
     """
     uses_text, uses_citations = evalhub.classifiers_of(settings["mode"])
-    inputs = dict(mode=settings["mode"], tokenizer_config=_tokenizer_config(settings))
+    inputs = dict(mode=settings["mode"])
+    if uses_text:
+        inputs["tokenizer_config"] = _tokenizer_config(settings)
     corpus = load_records(_require(settings, "records", command))
     databases: tuple[str, ...] = ()
     if uses_text:

@@ -9,14 +9,15 @@ scores (:func:`text_score_table`), or citer counts and citation ratios
 table chains the tokenizer and filter over the records and hands the
 token lists to :func:`~bibclass.bayes.score_columns`, which keeps per
 record only its token count and per-database log sums and then scores,
-and boosts triggered databases, in whole-column passes.  One C-level rule, count at least the gate and value at
-least the threshold (:func:`_at_least`), thresholds both.
-:func:`classify_corpus` zips each record's flags into its databases at the
-configs' point.
-:func:`evaluate` and :func:`sweep` give each classifier a list of (gate,
-threshold) pairs, each with a bitmask over the records (bit ``i`` for
-``records[i]``; every mask of an unused classifier is empty), and count
-the union of a text and a citation mask at each point of the product,
+and boosts triggered databases, in whole-column passes.  One C-level
+rule, count at least the gate and value at least the threshold
+(:func:`_at_least`), thresholds both.  :func:`classify_corpus` zips each
+record's flags into its databases at the configs' point.  :func:`sweep`
+counts the product of its :class:`SweepGrids`, and :func:`evaluate` a
+one-point grid of the configs' point, on one path: each classifier gets
+a list of (gate, threshold) pairs, each with a bitmask over the records
+(bit ``i`` for ``records[i]``; every mask of an unused classifier is
+empty), and each point counts the union of a text and a citation mask,
 so either can rescue records the other cannot classify, against a gold mask.
 Everything runs in the calling process; ``workers`` is accepted and ignored.
 """
@@ -88,7 +89,7 @@ class EvalReport(NamedTuple):
 
 
 class SweepGrids(Value):
-    """Value lists for the four decision parameters, each nonempty and finite."""
+    """The four decision parameters' grids, each a nonempty sorted tuple of finite values."""
 
     __slots__ = _fields = ("min_words", "score_thresholds", "min_citations", "ratio_thresholds")
 
@@ -106,7 +107,7 @@ class SweepGrids(Value):
             for value in grid:
                 if not abs(value) < float("inf"):  # false for NaN too
                     raise UsageError(f"non-finite value {value!r} in sweep grid for {name}")
-            setattr(self, name, grid)
+            setattr(self, name, tuple(sorted(set(grid))))
 
 
 class SweepGrid(NamedTuple):
@@ -231,13 +232,10 @@ def _mask(flags: Iterable[bool]) -> int:
     return int(b"0" + bytes(flags)[::-1].translate(_BIT_DIGITS), 2)
 
 
-_Pairs = list[tuple[tuple[int, float], int]]
-
-
 def _pairs(
     table: ScoreTable | None, db: str, gates: Iterable[int], thresholds: Iterable[float]
-) -> _Pairs:
-    """Each distinct (gate, threshold) pair in ascending order, with its mask.
+) -> list[tuple[tuple[int, float], int]]:
+    """Each (gate, threshold) pair in the order of the product, with its mask.
 
     Bit ``i`` of a pair's mask is set iff record ``i`` of ``table`` passes
     :func:`_at_least` for the gate and for its ``db`` value.
@@ -245,8 +243,8 @@ def _pairs(
     # No table (the mode does not use this classifier) reads as no records:
     # every pair is there, with an empty mask.
     counts, values = table or ([], {db: []})
-    by_gate = [(g, _mask(_at_least(counts, g))) for g in sorted(set(gates))]
-    by_threshold = [(t, _mask(_at_least(values[db], t))) for t in sorted(set(thresholds))]
+    by_gate = [(g, _mask(_at_least(counts, g))) for g in gates]
+    by_threshold = [(t, _mask(_at_least(values[db], t))) for t in thresholds]
     return [((g, t), gm & tm) for (g, gm), (t, tm) in product(by_gate, by_threshold)]
 
 
@@ -269,9 +267,13 @@ def _assigned_sets(
 
 
 def _grid_reports(
-    records: Sequence[BibRecord], db: str, text_pairs: _Pairs, cite_pairs: _Pairs
+    records: Sequence[BibRecord],
+    db: str,
+    text_table: ScoreTable | None,
+    cite_table: ScoreTable | None,
+    grids: SweepGrids,
 ) -> list[EvalReport]:
-    """Count ``db`` at every point of ``product(text_pairs, cite_pairs)``, in that order.
+    """Count ``db`` at every point of ``grids``' product, in ascending order.
 
     Each text pair's mask holds the records the text classifier assigns to
     ``db`` there, each citation pair's one for the citation classifier.  A
@@ -279,6 +281,8 @@ def _grid_reports(
     of the records labeled ``db``.  A zero denominator reads 1: precision
     with nothing assigned, recall with no gold positives.
     """
+    text_pairs = _pairs(text_table, db, grids.min_words, grids.score_thresholds)
+    cite_pairs = _pairs(cite_table, db, grids.min_citations, grids.ratio_thresholds)
     gold = _mask([db in r.gold_labels for r in records])
     positives = gold.bit_count()
     reports = []
@@ -336,16 +340,15 @@ def evaluate(
     """Precision and recall of every database at the configs' point, in database order.
 
     Each report's ``params`` is that point.  Records count against their own
-    labels, and each report is counted exactly as a one-point :func:`sweep` would.
+    labels, and each report is counted on :func:`sweep`'s path, over a one-point grid.
     """
-    databases, text_table, cite_table, (nt, st, nc, rc) = _scored(
+    databases, text_table, cite_table, point = _scored(
         records, mode, model, text_config, tokenizer_config, graph, cite_config
     )
+    grids = SweepGrids(*zip(point))
     reports = []
     for db in databases:
-        text_pairs = _pairs(text_table, db, [nt], [st])
-        cite_pairs = _pairs(cite_table, db, [nc], [rc])
-        reports += _grid_reports(records, db, text_pairs, cite_pairs)
+        reports += _grid_reports(records, db, text_table, cite_table, grids)
     return reports
 
 
@@ -377,10 +380,7 @@ def sweep(
     _, text_table, cite_table, _ = _scored(
         records, mode, model, text_config, tokenizer_config, graph, cite_config, db
     )
-    text_pairs = _pairs(text_table, db, grids.min_words, grids.score_thresholds)
-    cite_pairs = _pairs(cite_table, db, grids.min_citations, grids.ratio_thresholds)
-    reports = _grid_reports(records, db, text_pairs, cite_pairs)
-    return SweepGrid(mode=mode, db=db, reports=tuple(reports))
+    return SweepGrid(mode, db, tuple(_grid_reports(records, db, text_table, cite_table, grids)))
 
 
 def emit_grid_csv(grid: SweepGrid, path: str | Path) -> None:

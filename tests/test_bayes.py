@@ -201,6 +201,18 @@ class TestLogTables:
             (("astro", "phys"), {"astro": {"galaxy": 1}}, {"astro": 0}, "no training documents"),
             (("astro",), {"astro": {"galaxy": 0}}, {"astro": 3}, "empty vocabulary"),
             ((), {}, {}, "no training documents"),
+            (
+                ("astro",),
+                {"astro": {"galaxy": -1, "star": 2}},
+                {"astro": 1},
+                "negative term count in database 'astro'",
+            ),
+            (
+                ("astro",),
+                {"astro": {"galaxy": 1}},
+                {"astro": -1},
+                "negative totals for database 'astro'",
+            ),
         ],
     )
     def test_model_that_cannot_score_is_refused(
@@ -460,6 +472,9 @@ class TestTextClassifierConfig:
                 ({"triggers": {"astro": frozenset({term})}}, f"'{term}' for 'astro' is not a token")
                 for term in ("x-ray", "two words", "café", "42", "", "Supernova")
             ),
+            ({"trigger_boost": -0.1}, "trigger_boost must be in [0, 1]"),
+            ({"trigger_boost": 1.5}, "trigger_boost must be in [0, 1]"),
+            ({"triggers": {"a": "galaxy"}}, "terms for 'a' must be a collection, not a str"),
         ],
     )
     def test_out_of_range_rejected(self, kwargs, message):
@@ -468,6 +483,24 @@ class TestTextClassifierConfig:
 
     def test_a_finite_non_integer_gate_is_accepted(self):
         assert TextClassifierConfig(min_words=2.5).min_words == 2.5
+
+    def test_triggers_are_a_frozen_copy(self):
+        triggers = {"astro": {"galaxy"}}
+        config = TextClassifierConfig(triggers=triggers)
+        triggers["astro"].add("X-ray")
+        triggers["phys"] = frozenset({"X-ray"})
+        assert config.triggers == {"astro": frozenset({"galaxy"})}
+        assert type(config.triggers["astro"]) is frozenset
+
+    @pytest.mark.parametrize("terms", [["supernova"], ("supernova", "supernova"), {"supernova"}])
+    def test_any_collection_of_terms_scores_as_a_frozenset(self, terms):
+        config = TextClassifierConfig(triggers={"astro": terms})
+        frozen = TextClassifierConfig(triggers={"astro": frozenset({"supernova"})})
+        assert config == frozen
+        tokens = [["galaxy", "supernova"], ["galaxy"]]
+        assert score_columns(toy_model(), tokens, config) == score_columns(
+            toy_model(), tokens, frozen
+        )
 
 
 class TestTextDecision:

@@ -546,6 +546,10 @@ _CORRUPT_MODELS = {
         "db\tastro\t-1\t1\nt\tgalaxy\t1\ndb\tphys\t2\t1\nt\tquantum\t1\n",
         "negative totals for database 'astro'",
     ),
+    "zero-term-count": (
+        "db\tastro\t1\t1\nt\tgalaxy\t1\nt\tstar\t0\n",
+        ":5: term 'star' has a zero count",
+    ),
     "total-unlike-its-terms": (
         "db\tastro\t1\t3\nt\tgalaxy\t1\nt\tstar\t1\n",
         "total_tokens['astro'] does not match its term counts",
@@ -1200,7 +1204,10 @@ class TestModeReadsOnlyItsFiles:
 
     @pytest.mark.parametrize(
         ("mode", "unused"),
-        [("text", ["--citations", "--memberships"]), ("citation", ["--model", "--triggers"])],
+        [
+            ("text", ["--citations", "--memberships"]),
+            ("citation", ["--model", "--triggers", "--stopwords", "--stopphrases"]),
+        ],
     )
     @pytest.mark.parametrize("command", ["classify", "evaluate", "sweep"])
     def test_files_the_mode_does_not_use_are_never_opened(

@@ -394,6 +394,28 @@ class TestSweep:
         )
         assert len(grid.reports) == 1
 
+    def test_grids_are_sorted_copies_without_repeats(self, setup):
+        records, model, graph, text_config, cite_config = setup
+        lists = [[5, 1, 5], [0.75, 0.25, 0.75], [2], [0.5, 0.5]]
+        grids = SweepGrids(*lists)
+        kept = ((1, 5), (0.25, 0.75), (2,), (0.5,))
+        assert tuple(getattr(grids, name) for name in SweepGrids._fields) == kept
+        for values in lists:
+            values.append(math.nan)
+        assert grids == SweepGrids(*kept)
+        grid = sweep(
+            records,
+            grids,
+            mode="combined",
+            db="astro",
+            model=model,
+            text_config=text_config,
+            tokenizer_config=PLAIN,
+            graph=graph,
+            cite_config=cite_config,
+        )
+        assert [r.params for r in grid.reports] == list(product(*kept))
+
     def test_citation_mode_sweeps_the_text_grids_too(self, setup):
         records, _, graph, _, cite_config = setup
         lists = ((1, 9), (0.1, 0.9), (1, 5), (0.5,))
@@ -624,12 +646,13 @@ class TestSweepProperties:
             # and go past every recorded value (9 words, 7 citers, 1 + max score).
             return st.lists(st.sampled_from(sorted(set(seen) | set(extra))), min_size=1, max_size=5)
 
-        grids = SweepGrids(
+        lists = [
             data.draw(values(counts, [0, 3, 9])),
             data.draw(values(scores, [0.0, 0.5, 1.0, 1.0 + max(scores, default=0.0)])),
             data.draw(values(totals, [1, 2, 7])),
             data.draw(values(ratios, [0.25, 0.5, 1.0, 2.0])),
-        )
+        ]
+        grids = SweepGrids(*lists)
         text_config, cite_config, _ = draw_configs(data, text_table, cite_table)
         grid = sweep(
             records,
@@ -642,7 +665,6 @@ class TestSweepProperties:
             graph=graph,
             cite_config=cite_config,
         )
-        lists = (grids.min_words, grids.score_thresholds, grids.min_citations, grids.ratio_thresholds)
         want = oracles.sweep_reference(records, mode, db, _DBS, text_table, cite_table, lists)
         got = [(r.tp, r.fp, r.fn, r.precision, r.recall, r.params) for r in grid.reports]
         assert got == want

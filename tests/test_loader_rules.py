@@ -377,6 +377,11 @@ class TestModelFollowsTheLineRules:
         newline="\n",
         bom=False,
     )
+    @example(
+        lines=["bibclass-model v1", "alpha\t1.0", "db\tastro\t1\t1", "t\tgalaxy\t1", "t\tstar\t0"],
+        newline="\n",
+        bom=False,
+    )
     @with_alpha_examples
     def test_model_or_error_line_matches_the_reference(self, lines, newline, bom):
         counts, bad_line = oracles.model_reference(lines)

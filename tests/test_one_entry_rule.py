@@ -1,6 +1,7 @@
 """Each rule has one home: the entry skip in ``errors.read_entries``, the
 mode rule in ``evalhub.classifiers_of``, the value rules in
-``values.Value``, and the softmax in ``bayes.score_columns``."""
+``values.Value``, the softmax in ``bayes.score_columns``, and the grid
+count in ``evalhub._grid_reports``."""
 
 import ast
 from pathlib import Path
@@ -48,6 +49,19 @@ def test_read_lines_is_called_only_by_the_entry_records_and_model_readers():
         name for source in SOURCES for name, node in calls(source) if callee(node) == "read_lines"
     }
     assert callers == {"read_entries", "load_records", "load_model"}
+
+
+def callers(name: str) -> list[str]:
+    """The enclosing function of every call of ``name`` in the package, sorted."""
+    return sorted(f for source in SOURCES for f, node in calls(source) if callee(node) == name)
+
+
+def test_evaluate_and_sweep_count_through_one_grid_reports_call_each():
+    assert callers("_grid_reports") == ["evaluate", "sweep"]
+    assert callers("_pairs") == ["_grid_reports", "_grid_reports"]
+    (evalhub,) = [s for s in SOURCES if s.name == "evalhub.py"]
+    in_pairs = {callee(node) for f, node in calls(evalhub) if f == "_pairs"}
+    assert in_pairs and not in_pairs & {"sorted", "set"}  # SweepGrids sorts its grids
 
 
 def reads_mode(node: ast.AST) -> bool:

@@ -175,6 +175,9 @@ def test_value_type_contract(name):
     for i, (_, _, other, _) in enumerate(case.fields):
         changed = samples[:i] + [other] + samples[i + 1 :]
         assert obj != cls(*changed), names[i]
+    if issubclass(cls, Value):  # a named tuple equals a plain tuple by design
+        assert obj.__eq__(tuple(samples)) is NotImplemented
+        assert obj != tuple(samples) and not obj == tuple(samples)
 
     if case.hashable:
         assert hash(obj) == hash(cls(*samples))
