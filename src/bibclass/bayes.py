@@ -10,10 +10,11 @@ add a post-hoc boost to individual scores: :func:`apply_triggers` returns a
 boosted copy of that dict.
 
 The smoothed log probabilities are computed once, when a model is built or
-loaded: :class:`CategoryModel` keeps one row per seen term, the term's
-``log(term_probability)`` in every database, plus one row for unseen terms
-and the log priors.  Scoring a document looks each token up once and sums
-the rows' columns in token order.
+loaded: :class:`CategoryModel` keeps one row per seen term, the log of the
+term's additively smoothed frequency in every database,
+``(count + alpha) / (total_tokens + alpha * vocabulary_size)``, plus one
+row for unseen terms (count 0) and the log priors.  Scoring a document
+looks each token up once and sums the rows' columns in token order.
 
 The package has one softmax, in :func:`score_columns`, which scores many
 token lists at once: per list it keeps only the length and the log sums,
@@ -26,9 +27,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable
 from itertools import repeat
 from operator import add, sub, truediv
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from bibclass.errors import DataError, warn
 from bibclass.textpipe import TokenizerConfig, filter_tokens, is_token, tokenize
@@ -45,8 +47,9 @@ class CategoryModel(Value):
     positive counts are stored.  ``total_tokens`` is derived: each
     database's sum of term counts.  So are ``vocabulary_size`` (the number
     of distinct terms seen in any database), ``term_rows`` (term -> the log
-    of its :func:`term_probability` in each database, in ``databases``
-    order), ``unseen_row`` (that row for a term no database saw) and
+    of its smoothed frequency, as the module docstring gives it, in each
+    database in ``databases`` order), ``unseen_row`` (the row of a term no
+    database saw) and
     ``log_priors`` (the log of each database's share of the documents,
     ``-inf`` for a database without any); none takes part in equality or
     ``repr``.  A model without training documents or without terms cannot
@@ -103,7 +106,6 @@ class CategoryModel(Value):
         terms = list(vocab)
         columns, unseen_logs = [], []
         for db in self.databases:
-            # The same expression term_probability evaluates, so the logs match it exactly.
             denominator = self.total_tokens[db] + alpha * self.vocabulary_size
             unseen = alpha / denominator
             if unseen == 0.0:
@@ -150,15 +152,18 @@ class TextClassifierConfig(Value):
             raise ValueError("score_threshold must be in [0, 1]")
         if not 0.0 <= trigger_boost <= 1.0:
             raise ValueError("trigger_boost must be in [0, 1]")
+        frozen = {}
         for db, terms in triggers.items():
-            if isinstance(terms, str):
-                raise ValueError(f"trigger terms for '{db}' must be a collection, not a str")
+            if isinstance(terms, str) or not isinstance(terms, Iterable):
+                raise ValueError(f"trigger terms for '{db}' must be a collection, not {terms!r}")
+            terms = tuple(terms)  # an iterator is read once
             for term in terms:
-                if not is_token(term):
-                    raise ValueError(f"trigger term '{term}' for '{db}' is not a token")
+                if not (isinstance(term, str) and is_token(term)):
+                    raise ValueError(f"trigger term {term!r} for '{db}' is not a token")
+            frozen[db] = frozenset(terms)
         self.min_words = min_words
         self.score_threshold = score_threshold
-        self.triggers = {db: frozenset(terms) for db, terms in triggers.items()}
+        self.triggers = frozen
         self.trigger_boost = trigger_boost
 
 
@@ -212,16 +217,6 @@ def build_model(
         term_counts=term_counts,
         doc_counts=doc_counts,
         smoothing_alpha=alpha,
-    )
-
-
-def term_probability(model: CategoryModel, term: str, db: str) -> float:
-    """Additively smoothed relative frequency of ``term`` in ``db``."""
-    if db not in model.doc_counts:
-        raise ValueError(f"unknown database '{db}'")
-    alpha = model.smoothing_alpha
-    return (model.term_counts[db].get(term, 0) + alpha) / (
-        model.total_tokens[db] + alpha * model.vocabulary_size
     )
 
 

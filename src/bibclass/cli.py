@@ -35,7 +35,7 @@ from bibclass.corpus import (
     write_text_atomic,
 )
 from bibclass.errors import DataError, UsageError, read_entries, warn_on_stderr
-from bibclass.evalhub import MODES, SweepGrids
+from bibclass.evalhub import SweepGrids
 from bibclass.textpipe import (
     BUNDLED_STOPPHRASES,
     BUNDLED_STOPWORDS,
@@ -86,8 +86,10 @@ def _real(low: float, high: float, low_open: bool = False) -> Callable[[str, str
 
 
 def _mode_value(value: str, flag: str) -> str:
-    if value not in MODES:
-        raise UsageError(f"{flag} must be one of {', '.join(MODES)}; got '{value}'")
+    try:
+        evalhub.classifiers_of(value)
+    except UsageError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
     return value
 
 

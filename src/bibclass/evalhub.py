@@ -50,7 +50,7 @@ def classifiers_of(mode: str) -> tuple[bool, bool]:
     The one home of the mode rule; an unknown mode is a :class:`UsageError`.
     """
     if mode not in MODES:
-        raise UsageError(f"unknown mode '{mode}'")
+        raise UsageError(f"unknown mode '{mode}'; expected one of {', '.join(MODES)}")
     return mode != "citation", mode != "text"
 
 
@@ -89,24 +89,27 @@ class EvalReport(NamedTuple):
 
 
 class SweepGrids(Value):
-    """The four decision parameters' grids, each a nonempty sorted tuple of finite values."""
+    """The four decision grids, each a nonempty sorted tuple of values its config accepts."""
 
     __slots__ = _fields = ("min_words", "score_thresholds", "min_citations", "ratio_thresholds")
 
     def __init__(
         self,
-        min_words: tuple[int, ...],
-        score_thresholds: tuple[float, ...],
-        min_citations: tuple[int, ...],
-        ratio_thresholds: tuple[float, ...],
+        min_words: Iterable[int],
+        score_thresholds: Iterable[float],
+        min_citations: Iterable[int],
+        ratio_thresholds: Iterable[float],
     ):
-        grids = (min_words, score_thresholds, min_citations, ratio_thresholds)
-        for name, grid in zip(self._fields, grids):
+        grids = map(tuple, (min_words, score_thresholds, min_citations, ratio_thresholds))
+        owners = (TextClassifierConfig,) * 2 + (CitationClassifierConfig,) * 2
+        for name, grid, owner, field in zip(self._fields, grids, owners, ParamPoint._fields):
             if not grid:
                 raise UsageError(f"empty sweep grid for {name}")
             for value in grid:
-                if not abs(value) < float("inf"):  # false for NaN too
-                    raise UsageError(f"non-finite value {value!r} in sweep grid for {name}")
+                try:
+                    owner(**{field: value})
+                except ValueError as exc:
+                    raise UsageError(f"value {value!r} in sweep grid for {name}: {exc}") from None
             setattr(self, name, tuple(sorted(set(grid))))
 
 

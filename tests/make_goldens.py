@@ -5,7 +5,8 @@ corpus through the brute-force oracle pipeline (never through the library
 classifiers), prints TP/FP/FN per mode and database for freezing into the
 acceptance suite, and reports the smallest text-score margin to the
 decision threshold so frozen integers are known to be safe against
-floating-point drift between computation routes.
+floating-point drift between computation routes.  ``test_acceptance``
+reruns :func:`main` and checks what it prints against ``GOLDEN``.
 """
 
 import sys

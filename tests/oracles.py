@@ -117,21 +117,31 @@ def text_scores_reference(model, tokens):
     return {db: e / total for db, e in zip(databases, exps)}
 
 
+def boost_reference(scores, tokens, triggers, boost):
+    """A boosted copy of ``scores``.
+
+    Each database whose trigger terms meet ``tokens`` gains ``boost``,
+    capped at 1; a trigger database ``scores`` lacks is ignored.
+    """
+    boosted = dict(scores)
+    for db, terms in triggers.items():
+        if db in boosted and set(terms) & set(tokens):
+            boosted[db] = min(1.0, boosted[db] + boost)
+    return boosted
+
+
 def text_table_reference(records, model, triggers, boost, stop_words, stop_phrases):
     """Token count and boosted scores per record, in record order, through the references only.
 
     Tokens come from :func:`tokenize_reference` and
-    :func:`filter_tokens_reference`; a database whose trigger terms appear
-    among them gains ``boost``, capped at 1.
+    :func:`filter_tokens_reference`, scores from :func:`text_scores_reference`
+    and boosts from :func:`boost_reference`.
     """
     table = []
     for r in records:
         text = r.title + " " + (r.abstract or "")
         tokens = filter_tokens_reference(tokenize_reference(text), stop_words, stop_phrases)
-        scores = text_scores_reference(model, tokens)
-        for db, terms in triggers.items():
-            if db in scores and set(terms) & set(tokens):
-                scores[db] = min(1.0, scores[db] + boost)
+        scores = boost_reference(text_scores_reference(model, tokens), tokens, triggers, boost)
         table.append((len(tokens), scores))
     return table
 

@@ -10,6 +10,7 @@ drift between computation routes) and are compared exactly.
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -17,6 +18,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import bibclass
+import make_goldens
 import oracles
 import synth
 from bibclass.bayes import TextClassifierConfig, build_model, score_text
@@ -306,3 +308,17 @@ def test_criterion_6_round_trip_and_cli_determinism(bench, bench_model, tmp_path
             written = [(tmp_path / f"{seed}{ext}").read_bytes() for ext in (".tsv", ".csv")]
             outputs.append((*written, evaluated))
         assert outputs[0] == outputs[1]
+
+
+def test_make_goldens_prints_exactly_the_frozen_golden_counts(capsys):
+    # GOLDEN's claimed source, rerun: the same operating point, the nine
+    # triples, and a text-score margin wide enough for float drift.
+    point = (make_goldens.N_T, make_goldens.S_T, make_goldens.N_C, make_goldens.R_C)
+    assert point == (N_T, S_T, N_C, R_C)
+    make_goldens.main()
+    out = capsys.readouterr().out
+    rows = re.findall(r'^\("(\w+)", "(\w+)"\): \((\d+), (\d+), (\d+)\),', out, flags=re.M)
+    assert len(rows) == len(GOLDEN)
+    assert {(mode, db): tuple(map(int, counts)) for mode, db, *counts in rows} == GOLDEN
+    (margin,) = re.findall(r"^min \|text score - threshold\| margin: (\S+)$", out, flags=re.M)
+    assert float(margin) > 1e-3

@@ -16,12 +16,11 @@ from bibclass.bayes import (
     record_text,
     score_columns,
     score_text,
-    term_probability,
 )
 from bibclass.corpus import BibRecord
 from bibclass.errors import DataError
 from bibclass.evalhub import classify_corpus
-from bibclass.textpipe import TokenizerConfig, filter_tokens, tokenize
+from bibclass.textpipe import TokenizerConfig
 
 PLAIN = TokenizerConfig()
 
@@ -30,17 +29,19 @@ def record(rid, text, labels=()):
     return BibRecord(id=rid, title=text, year=1997, gold_labels=frozenset(labels))
 
 
+# The toy model's training tokens and labels, also recounted by the oracle.
+TOY_TRAIN = [
+    (["galaxy", "galaxy", "star"], ["astro"]),
+    (["galaxy", "quasar"], ["astro"]),
+    (["quantum", "quantum", "lattice"], ["phys"]),
+]
+
+
 def toy_model(alpha=1.0):
-    return build_model(
-        [
-            record("a1", "galaxy galaxy star", ["astro"]),
-            record("a2", "galaxy quasar", ["astro"]),
-            record("p1", "quantum quantum lattice", ["phys"]),
-        ],
-        ("astro", "phys"),
-        PLAIN,
-        alpha=alpha,
-    )
+    records = [
+        record(f"d{i}", " ".join(tokens), labels) for i, (tokens, labels) in enumerate(TOY_TRAIN)
+    ]
+    return build_model(records, ("astro", "phys"), PLAIN, alpha=alpha)
 
 
 class TestBuildModel:
@@ -146,32 +147,31 @@ class TestBuildModel:
             build_model([record("a1", "the of", ["astro"])], ("astro",), TokenizerConfig(stop_words=frozenset({"the", "of"})))
 
 
-class TestTermProbability:
-    def test_exact_smoothed_fraction(self):
+class TestLogTables:
+    def test_rows_are_the_exact_smoothed_fractions(self):
         model = toy_model()
-        # (3 + 1) / (5 + 1 * 5)
-        assert term_probability(model, "galaxy", "astro") == pytest.approx(4 / 10, rel=1e-15)
-        # unseen term: (0 + 1) / (5 + 5)
-        assert term_probability(model, "neutrino", "astro") == pytest.approx(1 / 10, rel=1e-15)
+        # (3 + 1) / (5 + 1 * 5) in astro, (0 + 1) / (3 + 1 * 5) in phys
+        assert model.term_rows["galaxy"] == (math.log(4 / 10), math.log(1 / 8))
+        # unseen term: (0 + 1) / (5 + 5) and (0 + 1) / (3 + 5)
+        assert model.unseen_row == (math.log(1 / 10), math.log(1 / 8))
 
     def test_alpha_scales_smoothing(self):
         model = toy_model(alpha=0.5)
-        assert term_probability(model, "galaxy", "astro") == pytest.approx(3.5 / 7.5, rel=1e-15)
+        # (3 + 0.5) / (5 + 0.5 * 5)
+        assert model.term_rows["galaxy"][0] == math.log(3.5 / 7.5)
 
-    def test_unknown_database_rejected(self):
-        with pytest.raises(ValueError):
-            term_probability(toy_model(), "galaxy", "nope")
-
-
-class TestLogTables:
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 2.5, 1e-3])
-    def test_tables_equal_log_of_term_probability(self, alpha):
+    def test_rows_equal_the_log_of_the_recounted_smoothed_frequency(self, alpha):
         model = toy_model(alpha)
+        stats = oracles.nb_stats(TOY_TRAIN, ("astro", "phys"))
         assert set(model.term_rows) == {"galaxy", "star", "quasar", "quantum", "lattice"}
         for term in ("galaxy", "star", "quasar", "quantum", "lattice", "neutrino"):
             row = model.term_rows.get(term, model.unseen_row)
             assert row == tuple(
-                math.log(term_probability(model, term, db)) for db in model.databases
+                math.log(
+                    (stats["counts"][db][term] + alpha) / (stats["totals"][db] + alpha * stats["v"])
+                )
+                for db in model.databases
             )
         assert model.log_priors == (math.log(2 / 3), math.log(1 / 3))
 
@@ -253,25 +253,6 @@ class TestLogTables:
             toy_model(1e308)
 
 
-def per_token_scores(model, tokens):
-    """score_text's distribution via one term_probability call per token and database."""
-    n = len(tokens)
-    log_likes = []
-    for db in model.databases:
-        prior = model.doc_counts[db] / model.total_docs
-        if prior == 0.0:
-            log_likes.append(float("-inf"))
-            continue
-        ll = math.log(prior)
-        if n:
-            ll += sum(math.log(term_probability(model, t, db)) for t in tokens) / n
-        log_likes.append(ll)
-    top = max(log_likes)
-    exps = [math.exp(v - top) for v in log_likes]
-    total = sum(exps)
-    return {db: e / total for db, e in zip(model.databases, exps)}
-
-
 _TERMS = ["galaxy", "star", "quasar", "quantum", "lattice", "phonon"]
 
 
@@ -304,9 +285,9 @@ class TestScoreTextProperties:
         tokens=st.lists(st.sampled_from(_TERMS + ["unseen", "neutrino"]), max_size=40),
     )
     @settings(max_examples=300, deadline=None)
-    def test_equals_per_token_term_probability_exactly(self, model, tokens):
+    def test_equals_the_recounting_oracle_exactly(self, model, tokens):
         got = score_text(model, TextClassifierConfig(), tokens)
-        assert got == per_token_scores(model, tokens)
+        assert got == oracles.text_scores_reference(model, tokens)
 
 
 class TestScoreColumns:
@@ -319,7 +300,7 @@ class TestScoreColumns:
         data=st.data(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_each_list_equals_its_per_token_scores_then_its_boost(
+    def test_each_list_equals_the_oracle_scores_then_its_boost(
         self, model, token_lists, triggered, data
     ):
         config = None
@@ -338,9 +319,12 @@ class TestScoreColumns:
         assert counts == list(map(len, token_lists))
         assert len(columns) == len(model.databases)
         assert all(len(column) == len(token_lists) for column in columns)
-        want = [per_token_scores(model, tokens) for tokens in token_lists]
+        want = [oracles.text_scores_reference(model, tokens) for tokens in token_lists]
         if config is not None:
-            want = [apply_triggers(s, tokens, config) for s, tokens in zip(want, token_lists)]
+            want = [
+                oracles.boost_reference(s, tokens, config.triggers, config.trigger_boost)
+                for s, tokens in zip(want, token_lists)
+            ]
         assert [dict(zip(model.databases, row)) for row in zip(*columns)] == want
 
     def test_no_lists_give_an_empty_column_per_database(self):
@@ -474,12 +458,20 @@ class TestTextClassifierConfig:
             ),
             ({"trigger_boost": -0.1}, "trigger_boost must be in [0, 1]"),
             ({"trigger_boost": 1.5}, "trigger_boost must be in [0, 1]"),
-            ({"triggers": {"a": "galaxy"}}, "terms for 'a' must be a collection, not a str"),
+            ({"triggers": {"a": "galaxy"}}, "terms for 'a' must be a collection, not 'galaxy'"),
+            ({"triggers": {"a": 5}}, "terms for 'a' must be a collection, not 5"),
+            ({"triggers": {"a": None}}, "terms for 'a' must be a collection, not None"),
+            ({"triggers": {"a": [5]}}, "trigger term 5 for 'a' is not a token"),
+            ({"triggers": {"a": ["galaxy", b"star"]}}, "trigger term b'star' for 'a' is not a token"),
         ],
     )
     def test_out_of_range_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             TextClassifierConfig(**kwargs)
+
+    def test_an_iterator_of_terms_is_read_once_and_kept_whole(self):
+        config = TextClassifierConfig(triggers={"astro": (t for t in ["galaxy", "star"])})
+        assert config.triggers == {"astro": frozenset({"galaxy", "star"})}
 
     def test_a_finite_non_integer_gate_is_accepted(self):
         assert TextClassifierConfig(min_words=2.5).min_words == 2.5

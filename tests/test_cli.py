@@ -22,7 +22,7 @@ from bibclass import cli, evalhub
 from bibclass.bayes import CategoryModel, TextClassifierConfig, build_model
 from bibclass.citegraph import CitationClassifierConfig
 from bibclass.corpus import load_model, save_model
-from bibclass.errors import DataError
+from bibclass.errors import DataError, UsageError
 from bibclass.evalhub import Assignment
 from bibclass.textpipe import TokenizerConfig
 
@@ -1609,3 +1609,50 @@ class TestValueProperty:
             assert err.getvalue() == f"{command} requires --records\n"
         else:
             assert f"--{flag}" in err.getvalue()
+
+
+# The config field that owns each decision flag's value: the flag's rule is
+# an early copy of that field's rule, so a bad value is named by its flag
+# before any input file is read.
+_OWNERS = {
+    "nt": (TextClassifierConfig, "min_words"),
+    "st": (TextClassifierConfig, "score_threshold"),
+    "nc": (CitationClassifierConfig, "min_citations"),
+    "rc": (CitationClassifierConfig, "ratio_threshold"),
+    "boost": (TextClassifierConfig, "trigger_boost"),
+}
+_NUMBER_TEXT = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.floats().map(repr),
+    st.sampled_from(
+        ["-0", "-0.0", "1e-400", "1e309", "-1e309", "nan", "-inf", " 1 ", "1_0", "\u0661"]
+        + ["5e-324", "-5e-324", "1.0000000000000002", "0.9999999999999999", "1e-9", "+1"]
+    ),
+)
+
+
+class TestFlagRangesMatchTheConfigs:
+    @settings(max_examples=500, deadline=None)
+    @given(name=st.sampled_from(sorted(_OWNERS)), text=_NUMBER_TEXT)
+    def test_flag_accepts_exactly_what_its_config_accepts(self, name, text):
+        kind, _ = _NUMERIC_FLAGS[name]
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        assume(value is not None)
+        owner, field = _OWNERS[name]
+        try:
+            owner(**{field: value})
+        except ValueError:
+            config_accepts = False
+        else:
+            config_accepts = True
+        try:
+            parsed = cli._FLAGS[name].parse(text, cli._option(name))
+        except UsageError as exc:
+            assert not config_accepts, f"{cli._option(name)} refuses {text!r}: {exc}"
+            assert cli._option(name) in str(exc)
+        else:
+            assert config_accepts, f"{cli._option(name)} accepts {text!r}"
+            assert (type(parsed), parsed) == (kind, value)

@@ -1,6 +1,5 @@
 import math
 import os
-import random
 import re
 from itertools import product
 
@@ -9,16 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-import synth
 from bibclass import bayes, evalhub
-from bibclass.bayes import (
-    CategoryModel,
-    TextClassifierConfig,
-    apply_triggers,
-    build_model,
-    record_text,
-    score_text,
-)
+from bibclass.bayes import CategoryModel, TextClassifierConfig, build_model
 from bibclass.citegraph import CitationClassifierConfig, CitationGraph
 from bibclass.corpus import BibRecord
 from bibclass.errors import DataError, UsageError
@@ -36,7 +27,7 @@ from bibclass.evalhub import (
     sweep,
     text_score_table,
 )
-from bibclass.textpipe import TokenizerConfig, filter_tokens, tokenize
+from bibclass.textpipe import TokenizerConfig
 
 PLAIN = TokenizerConfig()
 
@@ -113,14 +104,10 @@ def inputs(setup):
     )
 
 
-def reference_text_table(records, model, text_config, tokenizer_config):
-    """Token count and boosted scores per record, in record order, chained call by call."""
-    table = []
-    for r in records:
-        tokens = filter_tokens(tokenize(record_text(r)), tokenizer_config)
-        score = apply_triggers(score_text(model, text_config, tokens), tokens, text_config)
-        table.append((len(tokens), score))
-    return table
+def reference_text_table(records, model, text_config):
+    """Token count and boosted scores per record, in record order, through the oracles only."""
+    triggers, boost = text_config.triggers, text_config.trigger_boost
+    return oracles.text_table_reference(records, model, triggers, boost, set(), set())
 
 
 def reference_point(setup):
@@ -154,7 +141,7 @@ class TestClassifyCorpus:
     def test_combined_matches_per_record_reference(self, setup):
         records, model, graph, text_config, _ = setup
         got = classify_corpus(records, mode="combined", **inputs(setup))
-        text_table = reference_text_table(records, model, text_config, PLAIN)
+        text_table = reference_text_table(records, model, text_config)
         cite_table = oracles.table_rows(citation_score_table(records, graph))
         assert [a.record_id for a in got] == [r.id for r in records]
         for i, a in enumerate(got):
@@ -194,7 +181,7 @@ class TestClassifyCorpus:
             text_config=text_config,
             tokenizer_config=PLAIN,
         )
-        text_table = reference_text_table(records, model, text_config, PLAIN)
+        text_table = reference_text_table(records, model, text_config)
         assert [a.record_id for a in got] == [r.id for r in records]
         for i, a in enumerate(got):
             want, _ = oracles.assign_reference(
@@ -324,6 +311,24 @@ class TestEvaluate:
         # Gold labels come from the records themselves, so no record lacks them.
         report = cited_by_astro([record("mystery", "t")], ["mystery"])[0]
         assert (report.tp, report.fp, report.fn) == (0, 1, 0)
+
+
+# The config and field that own each grid of SweepGrids, in its order.
+_GRID_OWNERS = [
+    (TextClassifierConfig, "min_words"),
+    (TextClassifierConfig, "score_threshold"),
+    (CitationClassifierConfig, "min_citations"),
+    (CitationClassifierConfig, "ratio_threshold"),
+]
+# Per grid: values at and inside the edges of its config's range, then values
+# below it, above it (where the range has an upper end), NaN and both infinities.
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+_GRID_EDGES = [
+    ([0, 2.5, 10**6], [-1, -0.5, *_NON_FINITE]),
+    ([0.0, -0.0, 1e-9, 1.0], [-1e-9, 1.5, 1 + 1e-9, *_NON_FINITE]),
+    ([1, 1.5, 10**6], [0, 0.5, -1, *_NON_FINITE]),
+    ([1e-9, 0.5, 1.0], [0.0, -0.5, 1.5, 1 + 1e-9, *_NON_FINITE]),
+]
 
 
 class TestSweep:
@@ -458,8 +463,38 @@ class TestSweep:
     def test_non_finite_grid_value_rejected(self, position, bad):
         lists = [[5], [0.5, 0.25, 0.75], [4], [0.5]]
         lists[position].insert(1, bad)
-        with pytest.raises(UsageError, match=f"non-finite value {bad!r} in sweep grid for "):
+        name = SweepGrids._fields[position]
+        with pytest.raises(UsageError, match=f"^value {bad!r} in sweep grid for {name}: "):
             SweepGrids(*map(tuple, lists))
+
+    @pytest.mark.parametrize(
+        "position,value,refused",
+        [
+            (position, value, bool(refused))
+            for position, values in enumerate(_GRID_EDGES)
+            for refused, group in enumerate(values)
+            for value in group
+        ],
+    )
+    def test_refuses_exactly_what_the_owning_config_refuses(self, position, value, refused):
+        owner, field = _GRID_OWNERS[position]
+        name = SweepGrids._fields[position]
+        lists = [[5], [0.5, 0.25], [4], [0.5]]
+        lists[position].insert(1, value)
+        if not refused:
+            owner(**{field: value})
+            assert value in getattr(SweepGrids(*lists), name)
+            return
+        with pytest.raises(ValueError) as config_error:
+            owner(**{field: value})
+        with pytest.raises(UsageError) as grid_error:
+            SweepGrids(*lists)
+        want = f"value {value!r} in sweep grid for {name}: {config_error.value}"
+        assert str(grid_error.value) == want
+
+    def test_an_iterator_grid_is_kept_whole(self):
+        grids = SweepGrids((v for v in [3, 1]), iter([0.5, 0.25]), map(int, "52"), [0.5, 0.5])
+        assert grids == SweepGrids((1, 3), (0.25, 0.5), (2, 5), (0.5,))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(UsageError):
@@ -642,15 +677,17 @@ class TestSweepProperties:
         counts, scores, totals, ratios = recorded_values(text_table, cite_table)
 
         def values(seen, extra):
-            # Grid values hit recorded counts, scores and ratios exactly, repeat,
-            # and go past every recorded value (9 words, 7 citers, 1 + max score).
+            # Grid values hit recorded counts, scores and ratios exactly and
+            # repeat; only values the configs accept are drawn, so no citer
+            # count 0 or ratio 0.0.  9 words and 7 citers go past every
+            # recorded count, where a classifier assigns nothing.
             return st.lists(st.sampled_from(sorted(set(seen) | set(extra))), min_size=1, max_size=5)
 
         lists = [
             data.draw(values(counts, [0, 3, 9])),
-            data.draw(values(scores, [0.0, 0.5, 1.0, 1.0 + max(scores, default=0.0)])),
-            data.draw(values(totals, [1, 2, 7])),
-            data.draw(values(ratios, [0.25, 0.5, 1.0, 2.0])),
+            data.draw(values(scores, [0.0, 0.5, 1.0])),
+            data.draw(values({n for n in totals if n}, [1, 2, 7])),
+            data.draw(values({r for r in ratios if r}, [0.25, 0.5, 1.0])),
         ]
         grids = SweepGrids(*lists)
         text_config, cite_config, _ = draw_configs(data, text_table, cite_table)

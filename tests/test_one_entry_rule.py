@@ -1,7 +1,8 @@
 """Each rule has one home: the entry skip in ``errors.read_entries``, the
 mode rule in ``evalhub.classifiers_of``, the value rules in
-``values.Value``, the softmax in ``bayes.score_columns``, and the grid
-count in ``evalhub._grid_reports``."""
+``values.Value``, the softmax in ``bayes.score_columns``, the grid count
+in ``evalhub._grid_reports``, and each decision value's range in its
+config, which ``evalhub.SweepGrids`` asks instead of comparing."""
 
 import ast
 from pathlib import Path
@@ -74,11 +75,25 @@ def reads_mode(node: ast.AST) -> bool:
     )
 
 
+def is_modes_membership(node: ast.Compare) -> bool:
+    """Whether ``node`` is an ``in`` or ``not in`` test against ``MODES``."""
+    return any(
+        isinstance(op, (ast.In, ast.NotIn))
+        and (
+            (isinstance(right, ast.Name) and right.id == "MODES")
+            or (isinstance(right, ast.Attribute) and right.attr == "MODES")
+        )
+        for op, right in zip(node.ops, node.comparators)
+    )
+
+
 def mode_comparisons(root: ast.AST) -> set[ast.Compare]:
+    """Every comparison under ``root`` that reads a mode or tests membership of ``MODES``."""
     return {
         node
         for node in ast.walk(root)
-        if isinstance(node, ast.Compare) and any(map(reads_mode, ast.walk(node)))
+        if isinstance(node, ast.Compare)
+        and (any(map(reads_mode, ast.walk(node))) or is_modes_membership(node))
     }
 
 
@@ -94,6 +109,15 @@ def test_mode_is_compared_only_in_evalhub_classifiers_of():
     assert {name: nodes for name, nodes in found.items() if nodes} == {
         "evalhub.py": mode_comparisons(home)
     }
+
+
+def test_sweep_grids_compares_no_value_itself():
+    # Each grid value is checked by the config that owns it, not by a second copy of its range.
+    (evalhub,) = [s for s in SOURCES if s.name == "evalhub.py"]
+    tree = ast.parse(evalhub.read_text(encoding="utf-8"), str(evalhub))
+    (cls,) = [c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "SweepGrids"]
+    (init,) = [f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+    assert not [node for node in ast.walk(init) if isinstance(node, ast.Compare)]
 
 
 def assigned_names(cls: ast.ClassDef) -> set[str]:
