@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 from bibclass.errors import DataError, warn
 from bibclass.textpipe import TokenizerConfig, filter_tokens, is_token, tokenize
-from bibclass.values import Value
+from bibclass.values import Value, finite
 
 if TYPE_CHECKING:
     from bibclass.corpus import BibRecord
@@ -144,14 +144,12 @@ class TextClassifierConfig(Value):
         trigger_boost: float = 0.25,
     ):
         triggers = {} if triggers is None else triggers
-        if not abs(min_words) < math.inf:  # false for NaN too
-            raise ValueError(f"min_words must be finite, got {min_words!r}")
-        if min_words < 0:
-            raise ValueError("min_words must be >= 0")
-        if not 0.0 <= score_threshold <= 1.0:
-            raise ValueError("score_threshold must be in [0, 1]")
-        if not 0.0 <= trigger_boost <= 1.0:
-            raise ValueError("trigger_boost must be in [0, 1]")
+        if finite("min_words", min_words) < 0:
+            raise ValueError(f"min_words must be >= 0, got {min_words!r}")
+        if not 0.0 <= finite("score_threshold", score_threshold) <= 1.0:
+            raise ValueError(f"score_threshold must be in [0, 1], got {score_threshold!r}")
+        if not 0.0 <= finite("trigger_boost", trigger_boost) <= 1.0:
+            raise ValueError(f"trigger_boost must be in [0, 1], got {trigger_boost!r}")
         frozen = {}
         for db, terms in triggers.items():
             if isinstance(terms, str) or not isinstance(terms, Iterable):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import AbstractSet, Mapping
 
-from bibclass.values import Value
+from bibclass.values import Value, finite
 
 
 class CitationGraph(Value):
@@ -52,11 +52,9 @@ class CitationClassifierConfig(Value):
     __slots__ = _fields = ("min_citations", "ratio_threshold")
 
     def __init__(self, min_citations: int = 4, ratio_threshold: float = 0.5):
-        if not abs(min_citations) < float("inf"):  # false for NaN too
-            raise ValueError(f"min_citations must be finite, got {min_citations!r}")
-        if min_citations < 1:
-            raise ValueError("min_citations must be >= 1")
-        if not 0.0 < ratio_threshold <= 1.0:
-            raise ValueError("ratio_threshold must be in (0, 1]")
+        if finite("min_citations", min_citations) < 1:
+            raise ValueError(f"min_citations must be >= 1, got {min_citations!r}")
+        if not 0.0 < finite("ratio_threshold", ratio_threshold) <= 1.0:
+            raise ValueError(f"ratio_threshold must be in (0, 1], got {ratio_threshold!r}")
         self.min_citations = min_citations
         self.ratio_threshold = ratio_threshold

@@ -9,6 +9,8 @@ flags, the human-readable summary to stdout.
 The environment variable ``BIBCLASS_CONFIG`` may name a ``key=value`` file
 supplying any flag (keys are flag names without the leading dashes).
 Explicit flags win over the config file, which wins over built-in defaults.
+Each decision flag (``--nt --st --nc --rc --boost``) takes its default, type
+and value rule from the config field it sets, and a refusal gives its reason.
 """
 
 from __future__ import annotations
@@ -49,48 +51,27 @@ from bibclass.textpipe import (
 CONFIG_ENV_VAR = "BIBCLASS_CONFIG"
 
 
-def _integer(minimum: int) -> Callable[[str, str], int]:
-    """The rule of an integer flag of at least ``minimum``."""
+def _rule(kind: type, accept: Callable[[Any], Any]) -> Callable[[str, str], Any]:
+    """A flag's rule: read its text as ``kind``, then ``accept`` it; a refusal names the flag."""
 
-    def parse(value: str, flag: str) -> int:
+    def parse(value: str, flag: str):
         try:
-            out = int(value)
+            out = kind(value)
         except ValueError:
-            raise UsageError(f"invalid integer for {flag}: '{value}'") from None
-        if out < minimum:
-            raise UsageError(f"{flag} must be >= {minimum}, got {out}")
+            what = "integer" if kind is int else "number"
+            raise UsageError(f"invalid {what} for {flag}: '{value}'") from None
+        try:
+            accept(out)
+        except (ValueError, UsageError) as exc:
+            raise UsageError(f"{flag}: {exc}") from None
         return out
 
     return parse
 
 
-def _real(low: float, high: float, low_open: bool = False) -> Callable[[str, str], float]:
-    """The rule of a finite real flag in [low, high], or (low, high] with ``low_open``.
-
-    A signed zero is read as 0.0, so ``-0`` and ``0`` name the same value.
-    """
-
-    def parse(value: str, flag: str) -> float:
-        try:
-            out = float(value)
-        except ValueError:
-            raise UsageError(f"invalid number for {flag}: '{value}'") from None
-        if not math.isfinite(out):
-            raise UsageError(f"{flag} must be a finite number, got '{value}'")
-        if out < low or out > high or (low_open and out == low):
-            bounds = f"({low}, {high}]" if low_open else f"[{low}, {high}]"
-            raise UsageError(f"{flag} must be in {bounds}, got {out}")
-        return out + 0.0  # -0.0 + 0.0 is 0.0
-
-    return parse
-
-
-def _mode_value(value: str, flag: str) -> str:
-    try:
-        evalhub.classifiers_of(value)
-    except UsageError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
-    return value
+def _positive(value: float) -> None:
+    if not 0 < value < math.inf:  # math.isfinite would overflow on a huge int
+        raise ValueError(f"must be finite and > 0, got {value!r}")
 
 
 class _Flag(NamedTuple):
@@ -119,6 +100,12 @@ class _Flag(NamedTuple):
         return f"{self.help} ({'; '.join(notes)})"
 
 
+def _owned(help: str, owner: type, field: str, listable: bool = True) -> _Flag:
+    """The flag of ``owner``'s ``field``, with that field's default, type and rule."""
+    default = getattr(owner(), field)
+    return _Flag(help, str(default), _rule(type(default), lambda v: owner(**{field: v})), listable)
+
+
 # Every flag by name, in the order --help lists them; the flag is "--" plus
 # the name with "_" turned into "-", and the name is also its config key.
 # --alpha only affects build-model: smoothing is stored in the model and
@@ -131,24 +118,30 @@ _FLAGS = {
     "triggers": _Flag("trigger keyword file: database<TAB>term"),
     "stopwords": _Flag("stop word list, one per line (default: bundled list)"),
     "stopphrases": _Flag("stop phrase list, one per line (default: bundled list)"),
-    "mode": _Flag("classifier mode: text, citation or combined", "combined", _mode_value),
+    "mode": _Flag(
+        f"classifier mode: {', '.join(evalhub.MODES[:-1])} or {evalhub.MODES[-1]}",
+        "combined",
+        _rule(str, evalhub.classifiers_of),
+    ),
     "db": _Flag("database to report on"),
-    "nt": _Flag("minimum word count for text classification", "5", _integer(0), listable=True),
-    "st": _Flag("text score threshold in [0, 1]", "0.25", _real(0.0, 1.0), listable=True),
-    "nc": _Flag(
-        "minimum citation count for citation classification", "4", _integer(1), listable=True
+    "nt": _owned("minimum word count for text classification", TextClassifierConfig, "min_words"),
+    "st": _owned("text score threshold in [0, 1]", TextClassifierConfig, "score_threshold"),
+    "nc": _owned(
+        "minimum citation count for citation classification",
+        CitationClassifierConfig,
+        "min_citations",
     ),
-    "rc": _Flag(
-        "citation ratio threshold in (0, 1]", "0.5", _real(0.0, 1.0, low_open=True), listable=True
+    "rc": _owned(
+        "citation ratio threshold in (0, 1]", CitationClassifierConfig, "ratio_threshold"
     ),
-    "alpha": _Flag(
-        "additive smoothing constant for training", "1.0", _real(0.0, math.inf, low_open=True)
+    "alpha": _Flag("additive smoothing constant for training", "1.0", _rule(float, _positive)),
+    "boost": _owned(
+        "score boost for trigger keywords", TextClassifierConfig, "trigger_boost", listable=False
     ),
-    "boost": _Flag("score boost for trigger keywords", "0.25", _real(0.0, 1.0)),
     "out": _Flag("assignments output path", "assignments.tsv"),
     "grid_out": _Flag("sweep grid CSV path", "grid.csv"),
     "workers": _Flag(
-        "accepted and ignored: runs are single-process (must be >= 1)", "1", _integer(1)
+        "accepted and ignored: runs are single-process (must be >= 1)", "1", _rule(int, _positive)
     ),
 }
 

@@ -110,7 +110,8 @@ class SweepGrids(Value):
                     owner(**{field: value})
                 except ValueError as exc:
                     raise UsageError(f"value {value!r} in sweep grid for {name}: {exc}") from None
-            setattr(self, name, tuple(sorted(set(grid))))
+            # value + 0 keeps -0.0 as 0.0, one point with 0.0, and True as 1.
+            setattr(self, name, tuple(sorted({value + 0 for value in grid})))
 
 
 class SweepGrid(NamedTuple):

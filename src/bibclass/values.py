@@ -1,4 +1,4 @@
-"""The base of the package's slotted value types.
+"""The base of the package's slotted value types, and the finiteness rule of their numbers.
 
 A subclass lists in ``_fields`` the attributes that make up its value, in
 constructor order: they are compared by ``==``, shown by ``repr``, hashed
@@ -9,6 +9,15 @@ and read are named tuples instead.
 """
 
 from __future__ import annotations
+
+import math
+
+
+def finite(name: str, value):
+    """``value`` if it is finite, else a ``ValueError`` naming the field ``name``."""
+    if not abs(value) < math.inf:  # false for NaN; exact for an int of any size
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 class Value:

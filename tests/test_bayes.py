@@ -469,6 +469,26 @@ class TestTextClassifierConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             TextClassifierConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["min_words", "score_threshold", "trigger_boost"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_value_is_refused_as_not_finite(self, field, value):
+        with pytest.raises(ValueError) as refused:
+            TextClassifierConfig(**{field: value})
+        assert str(refused.value) == f"{field} must be finite, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"min_words": -1}, "min_words must be >= 0, got -1"),
+            ({"score_threshold": 1.5}, "score_threshold must be in [0, 1], got 1.5"),
+            ({"trigger_boost": -0.1}, "trigger_boost must be in [0, 1], got -0.1"),
+        ],
+    )
+    def test_a_range_message_ends_with_the_value(self, kwargs, message):
+        with pytest.raises(ValueError) as refused:
+            TextClassifierConfig(**kwargs)
+        assert str(refused.value) == message
+
     def test_an_iterator_of_terms_is_read_once_and_kept_whole(self):
         config = TextClassifierConfig(triggers={"astro": (t for t in ["galaxy", "star"])})
         assert config.triggers == {"astro": frozenset({"galaxy", "star"})}

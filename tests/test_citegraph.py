@@ -125,6 +125,25 @@ class TestValidation:
     def test_a_finite_non_integer_gate_is_accepted(self):
         assert CitationClassifierConfig(min_citations=2.5).min_citations == 2.5
 
+    @pytest.mark.parametrize("field", ["min_citations", "ratio_threshold"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_a_non_finite_value_is_refused_as_not_finite(self, field, value):
+        with pytest.raises(ValueError) as refused:
+            CitationClassifierConfig(**{field: value})
+        assert str(refused.value) == f"{field} must be finite, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"min_citations": 0}, "min_citations must be >= 1, got 0"),
+            ({"ratio_threshold": 0.0}, "ratio_threshold must be in (0, 1], got 0.0"),
+        ],
+    )
+    def test_a_range_message_ends_with_the_value(self, kwargs, message):
+        with pytest.raises(ValueError) as refused:
+            CitationClassifierConfig(**kwargs)
+        assert str(refused.value) == message
+
     @pytest.mark.parametrize("ratio", [0.0, 1.5, -0.1])
     def test_ratio_threshold_range(self, ratio):
         with pytest.raises(ValueError):

@@ -1282,6 +1282,29 @@ class TestWorkers:
         assert not (tmp_path / "out0.tsv").exists()
 
 
+class TestHugeValues:
+    @pytest.mark.parametrize("command", ["classify", "sweep"])
+    @pytest.mark.parametrize("flag", ["--workers", "--nt", "--nc"])
+    def test_a_400_digit_integer_is_taken(self, workspace, capsys, flag, command):
+        model = build(workspace)
+        huge = "9" * 400
+        grid = workspace / "grid.csv"
+        argv = [command, "--records", str(workspace / "test.jsonl"), "--model", str(model)]
+        argv += ["--citations", str(workspace / "citations.tsv")]
+        argv += ["--memberships", str(workspace / "memberships.tsv"), flag, huge]
+        if command == "sweep":
+            argv += ["--db", "astro", "--grid-out", str(grid)]
+        else:
+            argv += ["--out", str(workspace / "out.tsv")]
+        capsys.readouterr()
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().err == ""
+        if command == "sweep" and flag != "--workers":
+            column = {"--nt": 2, "--nc": 4}[flag]
+            rows = grid.read_text(encoding="utf-8").splitlines()[1:]
+            assert {row.split(",")[column] for row in rows} == {huge}
+
+
 class TestTriggers:
     def test_trigger_file_parses_and_applies(self, workspace):
         model = build(workspace)
@@ -1656,3 +1679,26 @@ class TestFlagRangesMatchTheConfigs:
         else:
             assert config_accepts, f"{cli._option(name)} accepts {text!r}"
             assert (type(parsed), parsed) == (kind, value)
+
+
+class TestFlagsAskTheirConfigs:
+    # A value each owning config takes, given as its flag's text.
+    @pytest.mark.parametrize(
+        "name,text", [("nt", "3"), ("st", "0.5"), ("nc", "3"), ("rc", "0.75"), ("boost", "0.5")]
+    )
+    def test_flag_refuses_what_its_config_is_made_to_refuse(self, monkeypatch, name, text):
+        owner, field = _OWNERS[name]
+        kind, _ = _NUMERIC_FLAGS[name]
+        flag, option = cli._FLAGS[name], cli._option(name)
+        assert flag.parse(text, option) == kind(text)
+        build_config = owner.__init__
+
+        def refusing(self, **kwargs):
+            if kwargs.get(field) == kind(text):
+                raise ValueError(f"{field} {text} is refused here")
+            build_config(self, **kwargs)
+
+        monkeypatch.setattr(owner, "__init__", refusing)
+        with pytest.raises(UsageError) as refused:
+            flag.parse(text, option)
+        assert str(refused.value) == f"{option}: {field} {text} is refused here"

@@ -492,6 +492,26 @@ class TestSweep:
         want = f"value {value!r} in sweep grid for {name}: {config_error.value}"
         assert str(grid_error.value) == want
 
+    def test_signed_zero_and_bool_are_kept_as_plain_numbers(self, setup, tmp_path):
+        records, model, _, text_config, _ = setup
+        grids = SweepGrids((True,), (-0.0, 0.0, 0.25), (4,), (0.5,))
+        assert grids.score_thresholds == (0.0, 0.25)
+        assert math.copysign(1.0, grids.score_thresholds[0]) == 1.0
+        assert [(type(v), v) for v in grids.min_words] == [(int, 1)]
+        grid = sweep(
+            records,
+            grids,
+            mode="text",
+            db="astro",
+            model=model,
+            text_config=text_config,
+            tokenizer_config=PLAIN,
+        )
+        out = tmp_path / "grid.csv"
+        emit_grid_csv(grid, out)
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[2:4] for row in rows] == [["1", "0.000000"], ["1", "0.250000"]]
+
     def test_an_iterator_grid_is_kept_whole(self):
         grids = SweepGrids((v for v in [3, 1]), iter([0.5, 0.25]), map(int, "52"), [0.5, 0.5])
         assert grids == SweepGrids((1, 3), (0.25, 0.5), (2, 5), (0.5,))

@@ -1,4 +1,5 @@
-"""The README's CLI and Library examples run as written on the benchmark corpus."""
+"""The README's CLI and Library examples run as written on the benchmark corpus,
+and its decision-parameter table gives the flags' defaults."""
 
 import re
 import shlex
@@ -61,4 +62,14 @@ def test_library_example_runs_and_writes_its_grid(bench, tmp_path, monkeypatch, 
     assert points == [
         ("combined", "astronomy", str(nt), f"{st:.6f}", "4", "0.500000")
         for nt, st in product((3, 5, 7), (0.1, 0.25, 0.5))
+    ]
+
+
+def test_decision_parameter_defaults_are_the_flag_defaults():
+    text = README.read_text(encoding="utf-8")
+    table = text.split("\nDecision parameters", 1)[1].split("\n\n")[1]
+    rows = re.findall(r"^\| `--([a-z]+)` \|[^|]*\|([^|]*)\|$", table, re.M)
+    names = ["nt", "st", "nc", "rc", "alpha", "boost"]
+    assert [(name, cell.strip()) for name, cell in rows] == [
+        (name, cli._FLAGS[name].default) for name in names
     ]
