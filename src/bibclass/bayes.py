@@ -69,9 +69,14 @@ class CategoryModel(Value):
         doc_counts: dict[str, int],
         smoothing_alpha: float = 1.0,
     ):
-        alpha = self.smoothing_alpha = smoothing_alpha
-        if not (math.isfinite(alpha) and alpha > 0):
-            raise ValueError(f"smoothing_alpha must be finite and positive, got {alpha!r}")
+        try:  # kept as a float, as a model file stores it; "+" refuses a str
+            alpha = self.smoothing_alpha = float(smoothing_alpha + 0.0)
+        except OverflowError:  # an int too large for a float
+            raise ValueError("smoothing_alpha must be finite as a float") from None
+        if not 0 < alpha < math.inf:
+            raise ValueError(
+                f"smoothing_alpha must be finite and positive, got {smoothing_alpha!r}"
+            )
         self.databases = tuple(databases)
         if len(set(self.databases)) != len(self.databases):
             raise ValueError("database names must be unique")
@@ -130,7 +135,8 @@ class TextClassifierConfig(Value):
     is considered classifiable at all; ``score_threshold`` is the minimum
     (boosted) score for membership in a database.  Each trigger term must
     be a token (:func:`~bibclass.textpipe.is_token`) to match filtered
-    tokens; stop lists are the CLI's check, as this config has no tokenizer.
+    tokens.  This config has no tokenizer, so it cannot see the stop lists:
+    :func:`~bibclass.textpipe.load_triggers` refuses a trigger they remove.
     The triggers are kept as a new ``{db: frozenset(terms)}``.
     """
 

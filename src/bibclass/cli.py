@@ -11,6 +11,7 @@ supplying any flag (keys are flag names without the leading dashes).
 Explicit flags win over the config file, which wins over built-in defaults.
 Each decision flag (``--nt --st --nc --rc --boost``) takes its default, type
 and value rule from the config field it sets, and a refusal gives its reason.
+``textpipe`` reads the stop lists and the triggers file; nothing here tokenizes.
 """
 
 from __future__ import annotations
@@ -38,15 +39,7 @@ from bibclass.corpus import (
 )
 from bibclass.errors import DataError, UsageError, read_entries, warn_on_stderr
 from bibclass.evalhub import SweepGrids
-from bibclass.textpipe import (
-    BUNDLED_STOPPHRASES,
-    BUNDLED_STOPWORDS,
-    TokenizerConfig,
-    filter_tokens,
-    is_token,
-    load_term_list,
-    tokenize,
-)
+from bibclass.textpipe import default_tokenizer_config, load_triggers
 
 CONFIG_ENV_VAR = "BIBCLASS_CONFIG"
 
@@ -241,54 +234,6 @@ def _require(settings: dict[str, Any], key: str, command: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _tokenizer_config(settings: dict[str, Any]) -> TokenizerConfig:
-    """The stop lists the flags name, or the bundled list for a flag left unset."""
-    return TokenizerConfig(
-        stop_words=frozenset(load_term_list(settings["stopwords"] or BUNDLED_STOPWORDS)),
-        stop_phrases=frozenset(load_term_list(settings["stopphrases"] or BUNDLED_STOPPHRASES)),
-    )
-
-
-def load_triggers(
-    path: str | Path, databases: tuple[str, ...], tokenizer_config: TokenizerConfig
-) -> dict[str, set[str]]:
-    """Read ``database<TAB>term`` trigger lines into per-database term sets.
-
-    Terms are tokenized the same way documents are, so a hyphenated trigger
-    matches the joined token it produces.  A term must tokenize to one word,
-    or to one compound (its joined form followed by exactly its parts), and
-    the trigger is that word or joined form.  Anything else, and a trigger
-    the token filters remove on its own, which could never fire, is
-    rejected outright.
-    """
-    triggers: dict[str, set[str]] = {}
-    for lineno, line in read_entries(path, "triggers file"):
-        parts = line.strip().split("\t")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            raise DataError(
-                f"malformed trigger line at {path}:{lineno}: expected database<TAB>term"
-            )
-        db, term = parts[0].strip(), parts[1].strip().lower()
-        if db not in databases:
-            raise DataError(
-                f"trigger database '{db}' at {path}:{lineno} is not one of {list(databases)}"
-            )
-        tokens = tokenize(term)
-        words = tokenize(term.replace("-", " "))
-        if len(words) > 1 and tokens != ["".join(words), *words]:
-            raise DataError(
-                f"trigger term '{term}' at {path}:{lineno} must be a single word "
-                "or hyphenated compound"
-            )
-        trigger = tokens[0] if tokens else ""
-        if not is_token(trigger) or not filter_tokens([trigger], tokenizer_config):
-            raise DataError(
-                f"trigger term '{term}' at {path}:{lineno} is removed by token filtering"
-            )
-        triggers.setdefault(db, set()).add(trigger)
-    return triggers
-
-
 def _load_classification_inputs(settings: dict[str, Any], command: str):
     """Load what classify/evaluate/sweep share, opening only the files the mode uses.
 
@@ -302,7 +247,9 @@ def _load_classification_inputs(settings: dict[str, Any], command: str):
     uses_text, uses_citations = evalhub.classifiers_of(settings["mode"])
     inputs = dict(mode=settings["mode"])
     if uses_text:
-        inputs["tokenizer_config"] = _tokenizer_config(settings)
+        inputs["tokenizer_config"] = default_tokenizer_config(
+            settings["stopwords"], settings["stopphrases"]
+        )
     corpus = load_records(_require(settings, "records", command))
     databases: tuple[str, ...] = ()
     if uses_text:
@@ -347,7 +294,7 @@ def _load_classification_inputs(settings: dict[str, Any], command: str):
 def _cmd_build_model(settings: dict[str, Any]) -> int:
     alpha = settings["alpha"]
     model_path = _require(settings, "model", "build-model")
-    tokenizer_config = _tokenizer_config(settings)
+    tokenizer_config = default_tokenizer_config(settings["stopwords"], settings["stopphrases"])
     corpus = load_records(_require(settings, "records", "build-model"))
     databases = tuple(sorted({db for r in corpus.records for db in r.gold_labels}))
     if not databases:

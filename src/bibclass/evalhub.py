@@ -141,8 +141,9 @@ def text_score_table(
     depends only on the model and trigger configuration, not on the
     threshold parameters, so one table serves a whole sweep.  The records'
     filtered tokens are scored by :func:`~bibclass.bayes.score_columns`
-    with ``text_config``'s trigger boosts, column by column rather than
-    record by record; a trigger database the model lacks is ignored.
+    with ``text_config``'s trigger boosts, column by column.  Called
+    directly, it ignores a trigger database the model lacks; ``evaluate``,
+    ``sweep`` and ``classify_corpus`` refuse one in ``_scored`` first.
     """
     token_lists = map(
         filter_tokens, map(tokenize, map(record_text, records)), repeat(tokenizer_config)

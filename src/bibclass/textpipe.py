@@ -4,7 +4,9 @@ The tokenizer is deliberately simple and deterministic: lowercase, fold
 diacritics to ASCII, split on whitespace and punctuation, and expand
 hyphenated compounds into the joined form plus their parts.  What matters
 for classification is that model building and scoring see the exact same
-tokens, so the behaviour is pinned down by the test suite.
+tokens, so the behaviour is pinned down by the test suite.  The user's
+term lists are read here too, under the same rules: stop lists by
+:func:`default_tokenizer_config`, triggers by :func:`load_triggers`.
 
 The per-character work runs in C: after the NFKD fold one byte table
 lowercases the text and blanks every byte that cannot be part of a word,
@@ -25,7 +27,7 @@ from itertools import compress, count
 from pathlib import Path
 from unicodedata import normalize
 
-from bibclass.errors import read_entries
+from bibclass.errors import DataError, read_entries
 from bibclass.values import Value
 
 # A translate table that lowercases ASCII letters and turns every other byte
@@ -165,9 +167,51 @@ def load_term_list(path: str | Path) -> list[str]:
     return [line.strip() for _, line in read_entries(path, "term list")]
 
 
-def default_tokenizer_config() -> TokenizerConfig:
-    """Tokenizer config backed by the packaged stop word and phrase lists."""
+def default_tokenizer_config(
+    stopwords: str | Path | None = None, stopphrases: str | Path | None = None
+) -> TokenizerConfig:
+    """Config of these stop word and phrase files, in that order; unset reads the packaged list."""
     return TokenizerConfig(
-        stop_words=frozenset(load_term_list(BUNDLED_STOPWORDS)),
-        stop_phrases=frozenset(load_term_list(BUNDLED_STOPPHRASES)),
+        stop_words=frozenset(load_term_list(stopwords or BUNDLED_STOPWORDS)),
+        stop_phrases=frozenset(load_term_list(stopphrases or BUNDLED_STOPPHRASES)),
     )
+
+
+def load_triggers(
+    path: str | Path, databases: tuple[str, ...], tokenizer_config: TokenizerConfig
+) -> dict[str, set[str]]:
+    """Read ``database<TAB>term`` trigger lines into per-database term sets.
+
+    Terms are tokenized the same way documents are, so a hyphenated trigger
+    matches the joined token it produces.  A term must tokenize to one word,
+    or to one compound (its joined form followed by exactly its parts), and
+    the trigger is that word or joined form.  Anything else, and a trigger
+    the token filters remove on its own, which could never fire, is
+    rejected outright.
+    """
+    triggers: dict[str, set[str]] = {}
+    for lineno, line in read_entries(path, "triggers file"):
+        parts = line.strip().split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise DataError(
+                f"malformed trigger line at {path}:{lineno}: expected database<TAB>term"
+            )
+        db, term = parts[0].strip(), parts[1].strip().lower()
+        if db not in databases:
+            raise DataError(
+                f"trigger database '{db}' at {path}:{lineno} is not one of {list(databases)}"
+            )
+        tokens = tokenize(term)
+        words = tokenize(term.replace("-", " "))
+        if len(words) > 1 and tokens != ["".join(words), *words]:
+            raise DataError(
+                f"trigger term '{term}' at {path}:{lineno} must be a single word "
+                "or hyphenated compound"
+            )
+        trigger = tokens[0] if tokens else ""
+        if not is_token(trigger) or not filter_tokens([trigger], tokenizer_config):
+            raise DataError(
+                f"trigger term '{term}' at {path}:{lineno} is removed by token filtering"
+            )
+        triggers.setdefault(db, set()).add(trigger)
+    return triggers

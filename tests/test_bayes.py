@@ -242,7 +242,9 @@ class TestLogTables:
                 doc_counts={"astro": 1},
             )
 
-    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "alpha", [0.0, -1.0, math.nan, math.inf, -math.inf, pytest.param(10**400, id="10**400")]
+    )
     def test_non_finite_or_non_positive_alpha_rejected(self, alpha):
         with pytest.raises(ValueError, match="smoothing_alpha"):
             toy_model(alpha)

@@ -24,7 +24,7 @@ from bibclass.citegraph import CitationClassifierConfig
 from bibclass.corpus import load_model, save_model
 from bibclass.errors import DataError, UsageError
 from bibclass.evalhub import Assignment
-from bibclass.textpipe import TokenizerConfig
+from bibclass.textpipe import TokenizerConfig, default_tokenizer_config, load_triggers
 
 
 # Record lines the JSON decoder itself refuses: nesting past the recursion
@@ -699,11 +699,9 @@ class TestStopListFlags:
         data = Path(bibclass.textpipe.__file__).with_name("data")
         words_path = tmp_path / words if words else data / "stopwords.txt"
         phrases_path = tmp_path / phrases if phrases else data / "stopphrases.txt"
-        config = cli._tokenizer_config(
-            {
-                "stopwords": str(tmp_path / words) if words else None,
-                "stopphrases": str(tmp_path / phrases) if phrases else None,
-            }
+        config = default_tokenizer_config(
+            str(tmp_path / words) if words else None,
+            str(tmp_path / phrases) if phrases else None,
         )
         expected = TokenizerConfig(
             frozenset(bibclass.textpipe.load_term_list(words_path)),
@@ -1310,7 +1308,7 @@ class TestTriggers:
         model = build(workspace)
         triggers = workspace / "triggers.tsv"
         triggers.write_text("# db\tterm\nastro\tX-ray\n", encoding="utf-8")
-        loaded = cli.load_triggers(triggers, ("astro", "phys"), TokenizerConfig())
+        loaded = load_triggers(triggers, ("astro", "phys"), TokenizerConfig())
         assert loaded == {"astro": frozenset({"xray"})}
         rc = cli.run(
             [
@@ -1333,13 +1331,13 @@ class TestTriggers:
         triggers = workspace / "triggers.tsv"
         triggers.write_text("mystery\tterm\n", encoding="utf-8")
         with pytest.raises(DataError, match="mystery"):
-            cli.load_triggers(triggers, ("astro",), TokenizerConfig())
+            load_triggers(triggers, ("astro",), TokenizerConfig())
 
     def test_filtered_out_trigger_is_data_error(self, workspace):
         triggers = workspace / "triggers.tsv"
         triggers.write_text("astro\t1997\n", encoding="utf-8")
         with pytest.raises(DataError, match="1997"):
-            cli.load_triggers(triggers, ("astro",), TokenizerConfig())
+            load_triggers(triggers, ("astro",), TokenizerConfig())
 
     @pytest.mark.parametrize("term", ["X-ray", "x-RAY", "xray"])
     def test_trigger_whose_joined_form_is_filtered_is_data_error(self, workspace, term):
@@ -1351,14 +1349,14 @@ class TestTriggers:
         with pytest.raises(
             DataError, match=re.escape(f"{triggers}:2 is removed by token filtering")
         ):
-            cli.load_triggers(triggers, ("astro",), config)
+            load_triggers(triggers, ("astro",), config)
 
     @pytest.mark.parametrize("term", ["black hole", "galaxy,star", "x/ray", "x--ray"])
     def test_multi_word_trigger_is_data_error(self, workspace, term):
         triggers = workspace / "triggers.tsv"
         triggers.write_text(f"# a comment\nastro\t{term}\n", encoding="utf-8")
         with pytest.raises(DataError, match=re.escape(f"{triggers}:2 must be a single word")):
-            cli.load_triggers(triggers, ("astro",), TokenizerConfig())
+            load_triggers(triggers, ("astro",), TokenizerConfig())
 
 
 class TestEmitAssignments:

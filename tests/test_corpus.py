@@ -272,6 +272,11 @@ def small_model(alpha=0.7):
     )
 
 
+class _Real(float):
+    def __repr__(self):
+        return f"_Real({float(self)!r})"
+
+
 class TestModelRoundTrip:
     def test_save_load_is_field_exact(self, tmp_path):
         model = small_model()
@@ -284,6 +289,17 @@ class TestModelRoundTrip:
         assert loaded.doc_counts == model.doc_counts
         assert loaded.smoothing_alpha == model.smoothing_alpha
         assert loaded.vocabulary_size == model.vocabulary_size
+
+    @pytest.mark.parametrize(
+        "alpha", [True, 2, 10**300, _Real(2.5)], ids=["True", "2", "10**300", "float-subclass"]
+    )
+    def test_every_accepted_alpha_round_trips_as_a_float(self, tmp_path, alpha):
+        # A model file stores alpha as a float, so the model keeps it as one.
+        model = small_model(alpha)
+        assert type(model.smoothing_alpha) is float
+        assert model.smoothing_alpha == float(alpha)
+        save_model(model, tmp_path / "model.txt")
+        assert load_model(tmp_path / "model.txt") == model
 
     def test_two_saves_are_byte_identical(self, tmp_path):
         model = small_model()

@@ -1,8 +1,9 @@
 """Each rule has one home: the entry skip in ``errors.read_entries``, the
 mode rule in ``evalhub.classifiers_of``, the value rules in
 ``values.Value``, the softmax in ``bayes.score_columns``, the grid count
-in ``evalhub._grid_reports``, and each decision value's range in its
-config, which ``evalhub.SweepGrids`` asks instead of comparing."""
+in ``evalhub._grid_reports``, each decision value's range in its
+config, which ``evalhub.SweepGrids`` asks instead of comparing, and the
+reading of every user term list in ``textpipe``."""
 
 import ast
 from pathlib import Path
@@ -178,3 +179,29 @@ def test_the_one_softmax_is_bayes_score_columns():
     assert exp_reads(home)
     found = {name: exp_reads(tree) for name, tree in trees.items()}
     assert {name: nodes for name, nodes in found.items() if nodes} == {"bayes.py": exp_reads(home)}
+
+
+def called(tree: ast.AST) -> list[str | None]:
+    """The callee of every call under ``tree``, module-level calls included."""
+    return [callee(node) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
+def test_term_lists_are_read_only_in_textpipe():
+    # default_tokenizer_config builds every config from stop list files, and
+    # the CLI hands its paths and the triggers file to textpipe.
+    trees = {s.name: ast.parse(s.read_text(encoding="utf-8"), str(s)) for s in SOURCES}
+    reads = sum(called(tree).count("load_term_list") for tree in trees.values())
+    assert reads and callers("load_term_list") == ["default_tokenizer_config"] * reads
+    token_rules = {"tokenize", "filter_tokens", "is_token", "load_term_list", "TokenizerConfig"}
+    assert not token_rules & set(called(trees["cli.py"]))
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(trees["cli.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert ("bibclass", "textpipe") not in imported
+    assert {name for module, name in imported if module == "bibclass.textpipe"} == {
+        "default_tokenizer_config",
+        "load_triggers",
+    }
